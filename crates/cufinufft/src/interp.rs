@@ -101,7 +101,7 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
                 for t3 in 0..fp.wd[2] {
                     for t2 in 0..fp.wd[1] {
                         let row = n1 * (fp.idx[1][t2] + n2 * fp.idx[2][t3]);
-                        crate::spread::account_row(b, row, fp.l0[0], fp.wd[0], n1, cb, false);
+                        crate::spread::account_row(b, row, fp.idx[0][0], fp.wd[0], n1, cb, false);
                     }
                 }
             }

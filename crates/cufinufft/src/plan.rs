@@ -6,7 +6,7 @@ use crate::bins::{build_subproblems, gpu_bin_sort, GpuBinSort, Subproblem};
 use crate::interp::interp_batch;
 use crate::opts::{default_bin_size, resolve_spread_method, GpuOpts, Method, ModeOrder, Tuning};
 use crate::recovery::{with_retry, RecoveryReport};
-use crate::spread::{spread_batch, PtsRef, SpreadInputs};
+use crate::spread::{spread_batch, PricedLaunches, PtsRef, SpreadInputs};
 use gpu_sim::{Device, GpuBuffer, HazardMode, HazardReport, Lane, Precision, Trace, TraceReport};
 use nufft_common::complex::Complex;
 use nufft_common::error::{NufftError, Result};
@@ -144,6 +144,9 @@ struct PtsState<T: Real> {
     sort: Option<GpuBinSort>,
     /// SM subproblem list (empty unless the SM method is active).
     subproblems: Vec<Subproblem>,
+    /// Spread launch reports priced on these points (filled by the first
+    /// execute after `set_pts`, replayed by later ones).
+    priced: PricedLaunches,
 }
 
 impl<T: Real> PtsState<T> {
@@ -163,6 +166,7 @@ impl<T: Real> PtsState<T> {
             sort_perm: self.sort.as_ref().map(|s| s.perm.as_slice()),
             layout: self.sort.as_ref().map(|s| &s.layout),
             subproblems: &self.subproblems,
+            priced: &self.priced,
         }
     }
 }
@@ -797,6 +801,7 @@ impl<T: Real> Plan<T> {
             dim: pts.dim,
             sort,
             subproblems,
+            priced: PricedLaunches::default(),
         });
         Ok(())
     }

@@ -20,6 +20,7 @@ use nufft_common::complex::Complex;
 use nufft_common::real::Real;
 use nufft_common::shape::Shape;
 use nufft_kernels::{grid_coord, spread_footprint, Kernel1d};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Maximum kernel width across all supported kernels (the Gaussian
 /// baseline needs up to 26).
@@ -90,25 +91,79 @@ pub(crate) fn footprint<T: Real, K: Kernel1d>(
     fp
 }
 
+/// Split a `w`-cell row that starts at the wrapped x-index `start` into
+/// its contiguous `(first cell, length)` segments: one, or two when the
+/// row wraps past `n1`.
+#[inline]
+fn row_segments(start: usize, w: usize, n1: usize) -> impl Iterator<Item = (usize, usize)> {
+    let first = w.min(n1 - start);
+    std::iter::once((start, first)).chain((first < w).then_some((0, w - first)))
+}
+
 /// Report one kernel-footprint row (contiguous in x, wrapped mod n1) to
-/// the block's DRAM line model. `write` for atomic read-modify-write.
+/// the block's DRAM line model. `start` is the row's already-wrapped
+/// first x-index; `write` for atomic read-modify-write.
 #[inline]
 pub(crate) fn account_row(
     b: &mut gpu_sim::BlockAcc<'_>,
     row_base_cell: usize, // cell index of (0, c2, c3) in the grid
-    l0: i64,
+    start: usize,
     w: usize,
     n1: usize,
     cb: usize,
     write: bool,
 ) {
-    let start = l0.rem_euclid(n1 as i64) as usize;
-    if start + w <= n1 {
-        b.dram_span((row_base_cell + start) * cb, w * cb, write);
-    } else {
-        let first = n1 - start;
-        b.dram_span((row_base_cell + start) * cb, first * cb, write);
-        b.dram_span(row_base_cell * cb, (w - first) * cb, write);
+    for (s, len) in row_segments(start, w, n1) {
+        b.dram_span((row_base_cell + s) * cb, len * cb, write);
+    }
+}
+
+/// Add strength `c` times the footprint's kernel weights into `grid`, in
+/// the order one GM thread issues its atomic adds (t3, t2, then t1
+/// fastest). Every GM path — priced or replayed — accumulates through
+/// this one helper, so replaying a launch yields a bitwise-equal grid.
+#[inline]
+pub(crate) fn apply_footprint<T: Real>(
+    grid: &mut [Complex<T>],
+    fine: Shape,
+    fp: &Footprint,
+    c: Complex<T>,
+) {
+    let [n1, n2, _] = fine.n;
+    for t3 in 0..fp.wd[2] {
+        let off3 = fp.idx[2][t3] * n1 * n2;
+        for t2 in 0..fp.wd[1] {
+            let c23 = c.scale(T::from_f64(fp.ker[1][t2] * fp.ker[2][t3]));
+            let base = off3 + fp.idx[1][t2] * n1;
+            for (&i1, &k1) in fp.idx[0][..fp.wd[0]].iter().zip(fp.ker[0].iter()) {
+                grid[base + i1] += c23.scale(T::from_f64(k1));
+            }
+        }
+    }
+}
+
+/// Launch reports of a point set's GM / GM-sort spread kernels, keyed by
+/// launch name. A GM spread launch's price depends only on the points,
+/// their order and the plan's geometry — never on the strengths — so a
+/// plan prices it on the first execute after `set_pts` and replays the
+/// stored report on later executes. Owned by the plan's points state and
+/// dropped with it when `set_pts` binds new points.
+#[derive(Debug, Default)]
+pub struct PricedLaunches(Mutex<Vec<LaunchReport>>);
+
+impl PricedLaunches {
+    /// The stored reports. A lock poisoned by a panicking holder is still
+    /// consistent — every update pushes one whole report — so it is reused.
+    fn reports(&self) -> MutexGuard<'_, Vec<LaunchReport>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, name: &str) -> Option<LaunchReport> {
+        self.reports().iter().find(|r| r.name == name).cloned()
+    }
+
+    fn insert(&self, report: LaunchReport) {
+        self.reports().push(report);
     }
 }
 
@@ -153,6 +208,7 @@ pub fn spread_gm<T: Real, K: Kernel1d>(
         threads_per_block,
         cas_atomic_penalty,
         false,
+        None,
     )
 }
 
@@ -187,9 +243,13 @@ pub fn spread_gm_racy<T: Real, K: Kernel1d>(
         threads_per_block,
         1.0,
         true,
+        None,
     )
 }
 
+/// Given `priced` — the report of an earlier launch on the same points
+/// and order — and no access trace on the launch, only the functional
+/// pass runs and that report is replayed.
 #[allow(clippy::too_many_arguments)]
 fn spread_gm_impl<T: Real, K: Kernel1d>(
     dev: &Device,
@@ -203,6 +263,7 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
     threads_per_block: usize,
     cas_atomic_penalty: f64,
     racy: bool,
+    priced: Option<&LaunchReport>,
 ) -> Result<LaunchReport, DeviceFault> {
     assert_eq!(grid.len(), fine.total());
     let m = order.len();
@@ -212,6 +273,13 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
         name,
         LaunchConfig::new(prec, threads_per_block).with_cas_penalty(cas_atomic_penalty),
     )?;
+    if let Some(report) = priced.filter(|_| !k.access_traced()) {
+        for &j in order {
+            let fp = footprint(kernel, fine, pts, j as usize);
+            apply_footprint(grid, fine, &fp, strengths[j as usize]);
+        }
+        return Ok(dev.launch_priced(k, report));
+    }
     k.atomic_region(fine.total(), cb);
     // named buffers for the shadow-memory access trace (no-ops when the
     // device is not in hazard mode); the grid is traced per real word so
@@ -224,18 +292,18 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
     let dim = pts.dim;
     let [n1, n2, _] = fine.n;
     let n_blocks = m.div_ceil(threads_per_block);
+    let block_of =
+        |bid: usize| &order[bid * threads_per_block..m.min((bid + 1) * threads_per_block)];
     // One task per thread block, run on the host pool (bit-identical to
     // serial; see `Kernel::run_blocks`). The block body reports costs to
-    // its private accumulator and returns the grid updates as an ordered
-    // delta list; `apply` folds them in block-id order so the
+    // its private accumulator and returns its points' footprints; `apply`
+    // replays them through `apply_footprint` in block-id order so the
     // floating-point accumulation order matches a serial sweep exactly.
     let pts = *pts;
     let body = |bid: usize, b: &mut gpu_sim::BlockAcc<'_>| {
-        let block = &order[bid * threads_per_block..m.min((bid + 1) * threads_per_block)];
+        let block = block_of(bid);
         let mut addrs = [0usize; 32];
-        let mut fps: Vec<Footprint> = Vec::with_capacity(32);
-        let mut deltas: Vec<(usize, Complex<T>)> =
-            Vec::with_capacity(block.len() * w.pow(dim as u32));
+        let mut block_fps: Vec<Footprint> = Vec::with_capacity(block.len());
         for (wi, warp) in block.chunks(32).enumerate() {
             let lane0 = (wi * 32) as u32; // thread id of this warp's lane 0
                                           // point-data loads: one access per array (x, y, z, c)
@@ -254,11 +322,12 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
             b.flops(warp.len() as u64 * (dim * w) as u64 * FLOPS_PER_EVAL);
 
             // footprints for the warp (wrapped indices precomputed)
-            fps.clear();
-            fps.extend(
+            let warp_start = block_fps.len();
+            block_fps.extend(
                 warp.iter()
                     .map(|&j| footprint(kernel, fine, &pts, j as usize)),
             );
+            let fps = &block_fps[warp_start..];
             let [wd1, wd2, wd3] = fps[0].wd;
             // lockstep loop over the w^d cells (x fastest, matching the
             // serial step order): lanes touch their own cell; L2
@@ -299,45 +368,25 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
             // cost + contention ride along, batched per contiguous row
             // segment — two atomic words per complex add, totals
             // identical to per-cell `global_atomic_n`
-            for fp in fps.iter() {
+            for fp in fps {
                 for t3 in 0..fp.wd[2] {
                     for t2 in 0..fp.wd[1] {
                         let row = n1 * (fp.idx[1][t2] + n2 * fp.idx[2][t3]);
-                        account_row(b, row, fp.l0[0], fp.wd[0], n1, cb, true);
-                        if !racy {
-                            let start = fp.idx[0][0];
-                            let w1 = fp.wd[0];
-                            if start + w1 <= n1 {
-                                b.global_atomic_run(row + start, w1, 2);
-                            } else {
-                                let first = n1 - start;
-                                b.global_atomic_run(row + start, first, 2);
-                                b.global_atomic_run(row, w1 - first, 2);
+                        for (s, len) in row_segments(fp.idx[0][0], fp.wd[0], n1) {
+                            b.dram_span((row + s) * cb, len * cb, true);
+                            if !racy {
+                                b.global_atomic_run(row + s, len, 2);
                             }
                         }
                     }
                 }
             }
-            // functional update, emitted as an ordered delta list
-            for (&j, fp) in warp.iter().zip(fps.iter()) {
-                let c = strengths[j as usize];
-                for t3 in 0..fp.wd[2] {
-                    let off3 = fp.idx[2][t3] * n1 * n2;
-                    for t2 in 0..fp.wd[1] {
-                        let c23 = c.scale(T::from_f64(fp.ker[1][t2] * fp.ker[2][t3]));
-                        let base = off3 + fp.idx[1][t2] * n1;
-                        for (&i1, &k1) in fp.idx[0][..fp.wd[0]].iter().zip(fp.ker[0].iter()) {
-                            deltas.push((base + i1, c23.scale(T::from_f64(k1))));
-                        }
-                    }
-                }
-            }
         }
-        deltas
+        block_fps
     };
-    k.run_blocks(n_blocks, body, |_bid, deltas| {
-        for (cell, v) in deltas {
-            grid[cell] += v;
+    k.run_blocks(n_blocks, body, |bid, fps| {
+        for (&j, fp) in block_of(bid).iter().zip(&fps) {
+            apply_footprint(grid, fine, fp, strengths[j as usize]);
         }
     });
     Ok(dev.launch_end(k))
@@ -484,6 +533,7 @@ pub fn spread_sm<T: Real, K: Kernel1d>(
             b.barrier();
         }
         b.shared_ops(padded_cells as u64); // shared reads
+        let start1 = delta[0].rem_euclid(n1 as i64) as usize;
         for i3 in 0..p[2] {
             let g3 = ((delta[2] + i3 as i64).rem_euclid(n3 as i64)) as usize;
             for i2 in 0..p[1] {
@@ -515,7 +565,7 @@ pub fn spread_sm<T: Real, K: Kernel1d>(
                     }
                     l += lanes;
                 }
-                account_row(b, row_base, delta[0], p[0], n1, cb, true);
+                account_row(b, row_base, start1, p[0], n1, cb, true);
             }
         }
         b.flops(padded_cells as u64 * 2);
@@ -542,6 +592,8 @@ pub struct SpreadInputs<'a, T> {
     pub layout: Option<&'a BinLayout>,
     /// SM subproblem list (empty unless the SM method is active).
     pub subproblems: &'a [Subproblem],
+    /// GM / GM-sort launch reports already priced on these points.
+    pub priced: &'a PricedLaunches,
 }
 
 /// Spread `bc` stacked strength vectors into `bc` stacked fine grids
@@ -574,38 +626,37 @@ pub fn spread_batch<T: Real, K: Kernel1d>(
         subproblems = inputs.subproblems.len(),
     );
     match method {
-        Method::Gm => {
-            let natural: Vec<u32> = (0..m as u32).collect();
+        Method::Gm | Method::GmSort => {
+            let natural: Vec<u32>;
+            let (name, order) = if method == Method::Gm {
+                natural = (0..m as u32).collect();
+                ("spread_GM", natural.as_slice())
+            } else {
+                let perm = inputs.sort_perm.expect("GM-sort requires sorting");
+                ("spread_GM-sort", perm)
+            };
+            // the first launch on these points is priced; the rest of the
+            // batch (and later executes) replay its report
+            let mut priced = inputs.priced.get(name);
             for v in 0..bc {
-                spread_gm(
+                let report = spread_gm_impl(
                     dev,
-                    "spread_GM",
+                    name,
                     kernel,
                     fine,
                     &inputs.pts,
                     &strengths[v * m..(v + 1) * m],
-                    &natural,
+                    order,
                     &mut grids[v * nf..(v + 1) * nf],
                     threads_per_block,
                     1.0,
+                    false,
+                    priced.as_ref(),
                 )?;
-            }
-        }
-        Method::GmSort => {
-            let perm = inputs.sort_perm.expect("GM-sort requires sorting");
-            for v in 0..bc {
-                spread_gm(
-                    dev,
-                    "spread_GM-sort",
-                    kernel,
-                    fine,
-                    &inputs.pts,
-                    &strengths[v * m..(v + 1) * m],
-                    perm,
-                    &mut grids[v * nf..(v + 1) * nf],
-                    threads_per_block,
-                    1.0,
-                )?;
+                if priced.is_none() {
+                    inputs.priced.insert(report.clone());
+                    priced = Some(report);
+                }
             }
         }
         Method::Sm => {

@@ -12,8 +12,9 @@ use gpu_sim::Device;
 use nufft_common::workload::{gen_coeffs, gen_points, gen_strengths, PointDist};
 use nufft_common::{Complex, Points, Real};
 
-/// Run one type-1 + type-2 pair on a device with the given host
-/// parallelism; return both outputs.
+/// Run two type-1 executes (the second replays the first's spread
+/// launch price) and one type-2 execute on a device with the given host
+/// parallelism; return the three outputs.
 #[allow(clippy::too_many_arguments)]
 fn run_pair<T: Real>(
     threads: usize,
@@ -23,7 +24,7 @@ fn run_pair<T: Real>(
     method: Method,
     dist: PointDist,
     seed: u64,
-) -> (Vec<Complex<T>>, Vec<Complex<T>>) {
+) -> [Vec<Complex<T>>; 3] {
     let dev = Device::v100();
     dev.set_host_parallelism(threads);
     let total: usize = modes.iter().product();
@@ -38,6 +39,9 @@ fn run_pair<T: Real>(
     p1.set_pts(&pts).unwrap();
     let mut out1 = vec![Complex::<T>::ZERO; total];
     p1.execute(&cs, &mut out1).unwrap();
+    let cs2 = gen_strengths::<T>(m, seed + 3);
+    let mut out1b = vec![Complex::<T>::ZERO; total];
+    p1.execute(&cs2, &mut out1b).unwrap();
 
     let mut p2 = Plan::<T>::builder(TransformType::Type2, modes)
         .eps(eps)
@@ -49,7 +53,7 @@ fn run_pair<T: Real>(
     let mut out2 = vec![Complex::<T>::ZERO; m];
     p2.execute(&f, &mut out2).unwrap();
 
-    (out1, out2)
+    [out1, out1b, out2]
 }
 
 fn assert_bits_eq<T: Real>(a: &[Complex<T>], b: &[Complex<T>], what: &str) {
@@ -69,12 +73,13 @@ fn check_case<T: Real>(modes: &[usize], m: usize, eps: f64, method: Method, seed
     } else {
         PointDist::Cluster
     };
-    let (s1, s2) = run_pair::<T>(1, modes, m, eps, method, dist, seed);
+    let serial = run_pair::<T>(1, modes, m, eps, method, dist, seed);
     for threads in [2usize, 5, 8] {
-        let (p1, p2) = run_pair::<T>(threads, modes, m, eps, method, dist, seed);
+        let par = run_pair::<T>(threads, modes, m, eps, method, dist, seed);
         let tag = format!("{method:?} modes={modes:?} seed={seed} threads={threads}");
-        assert_bits_eq(&s1, &p1, &format!("type1 {tag}"));
-        assert_bits_eq(&s2, &p2, &format!("type2 {tag}"));
+        for (i, what) in ["type1", "type1 repeat", "type2"].iter().enumerate() {
+            assert_bits_eq(&serial[i], &par[i], &format!("{what} {tag}"));
+        }
     }
 }
 

@@ -595,6 +595,33 @@ impl Device {
         if let Some((access, contract)) = traced {
             self.submit_access_trace(access, contract);
         }
+        self.record_launch(&report);
+        report
+    }
+
+    /// Record a launch whose price is already known — a report an earlier
+    /// [`Device::launch_end`] returned for the same kernel on the same
+    /// inputs — in place of pricing `kernel` again. `kernel` must come
+    /// from [`Device::kernel`], so the launch's fault consultation and
+    /// stalls have already happened; the trace counters, clock advance
+    /// and timeline record are then exactly those of the priced launch.
+    /// A kernel that carries an access trace is priced anyway, so the
+    /// hazard checker sees every traced launch.
+    pub fn launch_priced(&self, kernel: Kernel, priced: &LaunchReport) -> LaunchReport {
+        if kernel.access_traced() {
+            return self.launch_end(kernel);
+        }
+        debug_assert_eq!(
+            kernel.name, priced.name,
+            "replayed report of another kernel"
+        );
+        self.record_launch(priced);
+        priced.clone()
+    }
+
+    /// Mirror a priced launch into the trace counters and append it to
+    /// the timeline, advancing the clock by its duration.
+    fn record_launch(&self, report: &LaunchReport) {
         if let Some(trace) = self.trace() {
             trace.counter("gpu.kernel_launches").inc();
             trace.counter("gpu.blocks").add(report.blocks as i64);
@@ -613,7 +640,6 @@ impl Device {
             report.duration,
             report.breakdown,
         );
-        report
     }
 
     /// Price a data-parallel operation without per-warp detail: `t = max(
@@ -766,6 +792,51 @@ mod tests {
         let rec = tl.iter().find(|r| r.name == "spread").unwrap();
         assert_eq!(rec.kind, OpKind::Kernel);
         assert!((rec.duration - report.duration).abs() < 1e-18);
+    }
+
+    #[test]
+    fn launch_priced_records_like_the_priced_launch() {
+        let run = |replay: Option<&LaunchReport>| {
+            let dev = Device::v100();
+            let trace = Trace::new();
+            dev.attach_trace(&trace);
+            let mut k = dev
+                .kernel("spread", LaunchConfig::new(Precision::Single, 128))
+                .unwrap();
+            let report = match replay {
+                Some(priced) => dev.launch_priced(k, priced),
+                None => {
+                    let mut b = k.block();
+                    b.flops(1000);
+                    b.stream_bytes(4096);
+                    b.global_atomic_n(0, 3);
+                    b.finish();
+                    dev.launch_end(k)
+                }
+            };
+            (report, dev.timeline(), dev.clock(), trace.report().counters)
+        };
+        let (priced, tl, clock, counters) = run(None);
+        let (replayed, tl2, clock2, counters2) = run(Some(&priced));
+        assert_eq!(replayed.duration.to_bits(), priced.duration.to_bits());
+        assert_eq!(clock2.to_bits(), clock.to_bits());
+        assert_eq!(counters2, counters);
+        let (a, b) = (&tl[0], &tl2[0]);
+        assert_eq!((&a.name, a.kind), (&b.name, b.kind));
+        assert_eq!(a.duration.to_bits(), b.duration.to_bits());
+        assert_eq!(
+            a.breakdown.atomic_ops.to_bits(),
+            b.breakdown.atomic_ops.to_bits()
+        );
+        // a traced launch is priced from its own blocks, not replayed
+        let dev = Device::v100();
+        dev.set_hazard_mode(HazardMode::Check);
+        let k = dev
+            .kernel("spread", LaunchConfig::new(Precision::Single, 128))
+            .unwrap();
+        let r = dev.launch_priced(k, &priced);
+        assert_eq!(r.global_atomics, 0);
+        assert_eq!(dev.hazard_findings().kernels.len(), 1);
     }
 
     #[test]

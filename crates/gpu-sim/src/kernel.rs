@@ -122,8 +122,9 @@ impl LineCache {
 }
 
 /// An in-flight kernel launch. Create with `Device::kernel`, call
-/// [`Kernel::block`] once per thread block, then price via
-/// `Device::launch_end`.
+/// [`Kernel::block`] once per thread block (or [`Kernel::run_blocks`]),
+/// then price via `Device::launch_end` — or record an earlier price for
+/// the same inputs via `Device::launch_priced`.
 pub struct Kernel {
     pub(crate) name: String,
     pub(crate) cfg: LaunchConfig,
@@ -302,8 +303,9 @@ impl Kernel {
     /// block-id order at merge time, so per-block DRAM charges (and hence
     /// block timings and the launch price) are independent of host
     /// scheduling. `apply(block_id, r)` receives each block's return value
-    /// in block-id order — use it to fold grid deltas so floating-point
-    /// accumulation order matches the serial path exactly.
+    /// in block-id order — do order-sensitive functional work there (e.g.
+    /// accumulate a block's grid updates) so floating-point accumulation
+    /// order matches the serial path exactly.
     ///
     /// Call after [`Kernel::atomic_region`] / [`Kernel::trace_buffer`];
     /// the accumulator snapshots those declarations. Runs serially when
