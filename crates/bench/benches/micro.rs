@@ -54,6 +54,7 @@ fn bench_spread(c: &mut Criterion) {
                 fine,
                 &pts,
                 &grid,
+                &order,
                 std::hint::black_box(&mut out),
                 1,
             )

@@ -6,8 +6,10 @@
 //! nonuniform) transforms in 1, 2 and 3 dimensions (1D is a cuFINUFFT
 //! "future work" item the CPU library already has), in f32 or f64, with
 //! the plan/set-points/execute interface of the guru API. Spreading uses
-//! bin-sorted subproblems merged without locks; interpolation is
-//! embarrassingly parallel. The [`model`] module prices the same
+//! bin-sorted subproblems merged without locks in a fixed chunk order,
+//! so type-1 output is bitwise the same for every thread count;
+//! interpolation walks the same bin-sorted order in parallel and
+//! scatters to user order. The [`model`] module prices the same
 //! operations on the paper's Xeon testbeds so benchmarks can compare
 //! against the GPU cost model on one timing basis.
 

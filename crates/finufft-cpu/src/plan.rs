@@ -290,7 +290,15 @@ impl<T: Real, K: Kernel1d> Plan<T, K> {
                 self.fft.process(&mut grid, dir);
                 timings.fft = t1.elapsed().as_secs_f64();
                 let t2 = Instant::now();
-                interp(&self.kernel, self.fine, pts, &grid, output, self.nthreads);
+                interp(
+                    &self.kernel,
+                    self.fine,
+                    pts,
+                    &grid,
+                    order,
+                    output,
+                    self.nthreads,
+                );
                 timings.spread_interp = t2.elapsed().as_secs_f64();
             }
         }

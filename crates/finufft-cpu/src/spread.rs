@@ -1,29 +1,51 @@
 //! CPU spreading (type 1 step i) and interpolation (type 2 step iii),
 //! generic over the spreading kernel.
 //!
-//! The parallel spreader follows FINUFFT's subproblem strategy: bin-sorted
-//! points are cut into chunks, each chunk is spread into a local grid
-//! covering its (padded) bounding box by a worker thread, and the local
-//! grids are merged into the global fine grid with periodic wrapping. The
-//! merge is done by the coordinating thread as results stream in, so no
-//! locking of the output grid is needed.
+//! Both follow FINUFFT's spreader (Barnett et al., arXiv 1808.06736
+//! §3–4). Spreading cuts the bin-sorted points into chunks whose
+//! boundaries depend only on the number of points. A worker thread
+//! spreads each chunk into a local grid covering its (padded) bounding
+//! box, evaluating each point's kernel rows as it goes. The coordinating
+//! thread adds the local grids into the global fine grid with periodic
+//! wrapping, in chunk order, so the output grid needs no locking and
+//! type-1 output is bitwise reproducible for any thread count.
+//! Interpolation walks the same bin-sorted order, so neighbouring points
+//! read neighbouring grid rows, and scatters its values to user order.
 
-use crossbeam::channel;
 use nufft_common::complex::Complex;
 use nufft_common::real::Real;
 use nufft_common::shape::Shape;
 use nufft_common::workload::Points;
 use nufft_kernels::{grid_coord, spread_footprint, Kernel1d};
+use std::sync::mpsc;
 
 /// Upper bound on kernel width across all supported kernels.
 pub const MAX_W: usize = 32;
 
-/// Precomputed footprint of one point: start node, wrapped per-axis
-/// indices and tensor-factor rows.
+/// Below this many points, spreading goes straight into the global grid
+/// and interpolation stays on the calling thread.
+const SERIAL_CUTOFF: usize = 8192;
+
+/// Points per spread subproblem: at least 4096, and at most 64 chunks.
+/// It depends only on `m`, never on the thread count, so neither does
+/// the order in which subgrids are summed.
+fn chunk_len(m: usize) -> usize {
+    m.div_ceil(64).max(4096)
+}
+
+/// Footprint of one point: per-axis start node (unwrapped), width and
+/// tensor-factor row. Unused axes have width 1 and factor 1.
 pub(crate) struct Footprint {
     pub l0: [i64; 3],
     pub wd: [usize; 3],
     pub ker: [[f64; MAX_W]; 3],
+}
+
+/// First fine-grid node (unwrapped) of point `j`'s footprint along axis
+/// `i`, and the kernel coordinate of that node.
+#[inline]
+fn start_node<T: Real>(fine: Shape, pts: &Points<T>, w: usize, i: usize, j: usize) -> (i64, f64) {
+    spread_footprint(grid_coord(pts.coord(i, j).to_f64(), fine.n[i]), w)
 }
 
 #[inline]
@@ -40,13 +62,24 @@ pub(crate) fn footprint<T: Real, K: Kernel1d>(
         ker: [[1.0; MAX_W]; 3],
     };
     for i in 0..pts.dim {
-        let g = grid_coord(pts.coord(i, j).to_f64(), fine.n[i]);
-        let (l0, z0) = spread_footprint(g, w);
+        let (l0, z0) = start_node(fine, pts, w, i, j);
         fp.l0[i] = l0;
         fp.wd[i] = w;
         kernel.eval_row(z0, &mut fp.ker[i][..w]);
     }
     fp
+}
+
+/// Fill `idx[i][..wd[i]]` with the footprint's periodically wrapped
+/// grid indices along each axis.
+#[inline]
+fn wrap_indices(fine: Shape, fp: &Footprint, idx: &mut [[usize; MAX_W]; 3]) {
+    for (i, axis) in idx.iter_mut().enumerate() {
+        let n = fine.n[i] as i64;
+        for (t, slot) in axis[..fp.wd[i]].iter_mut().enumerate() {
+            *slot = (fp.l0[i] + t as i64).rem_euclid(n) as usize;
+        }
+    }
 }
 
 /// Spread the points listed in `order` onto the fine grid (sequential).
@@ -59,17 +92,12 @@ pub fn spread_serial<T: Real, K: Kernel1d>(
     out: &mut [Complex<T>],
 ) {
     assert_eq!(out.len(), fine.total());
-    let [n1, n2, n3] = fine.n;
+    let [n1, n2, _] = fine.n;
     let mut idx = [[0usize; MAX_W]; 3];
     for &jr in order {
         let j = jr as usize;
         let fp = footprint(kernel, fine, pts, j);
-        for i in 0..3 {
-            let n = [n1, n2, n3][i] as i64;
-            for (t, slot) in idx[i][..fp.wd[i]].iter_mut().enumerate() {
-                *slot = (fp.l0[i] + t as i64).rem_euclid(n) as usize;
-            }
-        }
+        wrap_indices(fine, &fp, &mut idx);
         let c = strengths[j];
         for t3 in 0..fp.wd[2] {
             let k3 = fp.ker[2][t3];
@@ -87,25 +115,25 @@ pub fn spread_serial<T: Real, K: Kernel1d>(
     }
 }
 
-/// Interpolate grid values at the points `range` (sequential core).
-fn interp_range<T: Real, K: Kernel1d>(
+/// Interpolate grid values at the points `order` lists: `out[s]` gets
+/// point `order[s]`'s value (sequential core). Rows that do not wrap in
+/// x are read as contiguous slices.
+fn interp_points<T: Real, K: Kernel1d>(
     kernel: &K,
     fine: Shape,
     pts: &Points<T>,
     grid: &[Complex<T>],
-    j_range: std::ops::Range<usize>,
+    order: &[u32],
     out: &mut [Complex<T>],
 ) {
-    let [n1, n2, n3] = fine.n;
+    let [n1, n2, _] = fine.n;
     let mut idx = [[0usize; MAX_W]; 3];
-    for (slot, j) in j_range.enumerate() {
-        let fp = footprint(kernel, fine, pts, j);
-        for i in 0..3 {
-            let n = [n1, n2, n3][i] as i64;
-            for (t, slot) in idx[i][..fp.wd[i]].iter_mut().enumerate() {
-                *slot = (fp.l0[i] + t as i64).rem_euclid(n) as usize;
-            }
-        }
+    for (o, &jr) in out.iter_mut().zip(order) {
+        let fp = footprint(kernel, fine, pts, jr as usize);
+        wrap_indices(fine, &fp, &mut idx);
+        let ker1 = &fp.ker[0][..fp.wd[0]];
+        let x0 = fp.l0[0];
+        let contiguous = x0 >= 0 && x0 + fp.wd[0] as i64 <= n1 as i64;
         let mut acc = Complex::<T>::ZERO;
         for t3 in 0..fp.wd[2] {
             let k3 = fp.ker[2][t3];
@@ -114,13 +142,20 @@ fn interp_range<T: Real, K: Kernel1d>(
                 let k23 = fp.ker[1][t2] * k3;
                 let base = off3 + idx[1][t2] * n1;
                 let mut row = Complex::<T>::ZERO;
-                for t1 in 0..fp.wd[0] {
-                    row += grid[base + idx[0][t1]].scale(T::from_f64(fp.ker[0][t1]));
+                if contiguous {
+                    let cells = &grid[base + x0 as usize..][..ker1.len()];
+                    for (&g, &k1) in cells.iter().zip(ker1) {
+                        row += g.scale(T::from_f64(k1));
+                    }
+                } else {
+                    for (&i1, &k1) in idx[0].iter().zip(ker1) {
+                        row += grid[base + i1].scale(T::from_f64(k1));
+                    }
                 }
                 acc += row.scale(T::from_f64(k23));
             }
         }
-        out[slot] = acc;
+        *o = acc;
     }
 }
 
@@ -139,22 +174,18 @@ fn spread_subproblem<T: Real, K: Kernel1d>(
     strengths: &[Complex<T>],
     chunk: &[u32],
 ) -> Subgrid<T> {
-    // bounding box over unwrapped footprints
+    // bounding box from the start nodes: every footprint spans w nodes
     let w = kernel.width();
-    let mut lo = [i64::MAX; 3];
-    let mut hi = [i64::MIN; 3];
-    let mut fps: Vec<Footprint> = Vec::with_capacity(chunk.len());
-    for &jr in chunk {
-        let fp = footprint(kernel, fine, pts, jr as usize);
-        for i in 0..3 {
-            lo[i] = lo[i].min(fp.l0[i]);
-            hi[i] = hi[i].max(fp.l0[i] + fp.wd[i] as i64);
+    let mut lo = [0i64; 3];
+    let mut hi = [1i64; 3];
+    for i in 0..pts.dim {
+        lo[i] = i64::MAX;
+        hi[i] = i64::MIN;
+        for &jr in chunk {
+            let (l0, _) = start_node(fine, pts, w, i, jr as usize);
+            lo[i] = lo[i].min(l0);
+            hi[i] = hi[i].max(l0 + w as i64);
         }
-        fps.push(fp);
-    }
-    for i in pts.dim..3 {
-        lo[i] = 0;
-        hi[i] = 1;
     }
     let size = [
         (hi[0] - lo[0]) as usize,
@@ -162,9 +193,10 @@ fn spread_subproblem<T: Real, K: Kernel1d>(
         (hi[2] - lo[2]) as usize,
     ];
     let mut data = vec![Complex::<T>::ZERO; size[0] * size[1] * size[2]];
-    let _ = w;
-    for (&jr, fp) in chunk.iter().zip(fps.iter()) {
+    for &jr in chunk {
+        let fp = footprint(kernel, fine, pts, jr as usize);
         let c = strengths[jr as usize];
+        let ker1 = &fp.ker[0][..fp.wd[0]];
         let b1 = (fp.l0[0] - lo[0]) as usize;
         let b2 = (fp.l0[1] - lo[1]) as usize;
         let b3 = (fp.l0[2] - lo[2]) as usize;
@@ -174,9 +206,8 @@ fn spread_subproblem<T: Real, K: Kernel1d>(
             for t2 in 0..fp.wd[1] {
                 let c23 = c.scale(T::from_f64(fp.ker[1][t2] * k3));
                 let base = off3 + (b2 + t2) * size[0] + b1;
-                let row = &mut data[base..base + fp.wd[0]];
-                for (t1, cell) in row.iter_mut().enumerate() {
-                    *cell += c23.scale(T::from_f64(fp.ker[0][t1]));
+                for (cell, &k1) in data[base..][..ker1.len()].iter_mut().zip(ker1) {
+                    *cell += c23.scale(T::from_f64(k1));
                 }
             }
         }
@@ -204,8 +235,10 @@ fn merge_subgrid<T: Real>(fine: Shape, sub: &Subgrid<T>, out: &mut [Complex<T>])
     }
 }
 
-/// Parallel spreading: chunk the (bin-sorted) `perm`, spread each chunk to
-/// a local subgrid on a worker thread, merge on the coordinator.
+/// Parallel spreading: cut the (bin-sorted) `perm` into chunks, spread
+/// each chunk to a local subgrid on a worker thread, and merge the
+/// subgrids on the calling thread in chunk order. The result is bitwise
+/// the same for every `nthreads`.
 pub fn spread<T: Real, K: Kernel1d>(
     kernel: &K,
     fine: Shape,
@@ -218,68 +251,72 @@ pub fn spread<T: Real, K: Kernel1d>(
     assert_eq!(pts.len(), strengths.len());
     assert_eq!(perm.len(), pts.len());
     let m = pts.len();
-    if nthreads <= 1 || m < 8192 {
+    if m < SERIAL_CUTOFF {
         spread_serial(kernel, fine, pts, strengths, perm, out);
         return;
     }
-    let chunk_size = (m / (nthreads * 4)).max(4096);
-    let chunks: Vec<&[u32]> = perm.chunks(chunk_size).collect();
-    let (tx, rx) = channel::bounded::<Subgrid<T>>(nthreads * 2);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    crossbeam::scope(|s| {
-        for _ in 0..nthreads {
-            let tx = tx.clone();
-            let next = &next;
-            let chunks = &chunks;
-            s.spawn(move |_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= chunks.len() {
-                    break;
-                }
-                let sub = spread_subproblem(kernel, fine, pts, strengths, chunks[i]);
-                if tx.send(sub).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        // merge as results arrive (deterministic totals up to fp
-        // reassociation; tests compare against the serial path with a
-        // precision-scaled tolerance)
-        for sub in rx.iter() {
+    let chunks: Vec<&[u32]> = perm.chunks(chunk_len(m)).collect();
+    let workers = nthreads.clamp(1, chunks.len());
+    std::thread::scope(|s| {
+        // worker k spreads chunks k, k + workers, ... into its own
+        // one-slot channel, so at most two of its subgrids are in flight
+        let inboxes: Vec<mpsc::Receiver<Subgrid<T>>> = (0..workers)
+            .map(|k| {
+                let (tx, rx) = mpsc::sync_channel(1);
+                let chunks = &chunks;
+                s.spawn(move || {
+                    for &chunk in chunks.iter().skip(k).step_by(workers) {
+                        let sub = spread_subproblem(kernel, fine, pts, strengths, chunk);
+                        if tx.send(sub).is_err() {
+                            break;
+                        }
+                    }
+                });
+                rx
+            })
+            .collect();
+        // chunk i arrives in inbox i % workers: receiving round-robin
+        // merges in chunk order
+        for inbox in inboxes.iter().cycle().take(chunks.len()) {
+            // a closed inbox means its worker panicked; leaving the scope
+            // re-raises that panic
+            let Ok(sub) = inbox.recv() else { break };
             merge_subgrid(fine, &sub, out);
         }
-    })
-    .expect("spread worker panicked");
+    });
 }
 
-/// Parallel interpolation: embarrassingly parallel over points.
+/// Parallel interpolation over the (bin-sorted) `perm`: contiguous runs
+/// of sorted points go to worker threads, which write a sorted-order
+/// buffer that is then scattered to user order. Each point's arithmetic
+/// does not depend on the order, so neither does the output.
 pub fn interp<T: Real, K: Kernel1d>(
     kernel: &K,
     fine: Shape,
     pts: &Points<T>,
     grid: &[Complex<T>],
+    perm: &[u32],
     out: &mut [Complex<T>],
     nthreads: usize,
 ) {
     assert_eq!(out.len(), pts.len());
+    assert_eq!(perm.len(), pts.len());
     assert_eq!(grid.len(), fine.total());
     let m = pts.len();
-    if nthreads <= 1 || m < 8192 {
-        interp_range(kernel, fine, pts, grid, 0..m, out);
-        return;
+    let mut sorted = vec![Complex::<T>::ZERO; m];
+    if nthreads <= 1 || m < SERIAL_CUTOFF {
+        interp_points(kernel, fine, pts, grid, perm, &mut sorted);
+    } else {
+        let run = m.div_ceil(nthreads);
+        std::thread::scope(|s| {
+            for (order, vals) in perm.chunks(run).zip(sorted.chunks_mut(run)) {
+                s.spawn(move || interp_points(kernel, fine, pts, grid, order, vals));
+            }
+        });
     }
-    let chunk = m.div_ceil(nthreads);
-    crossbeam::scope(|s| {
-        for (ci, slice) in out.chunks_mut(chunk).enumerate() {
-            let start = ci * chunk;
-            let end = start + slice.len();
-            s.spawn(move |_| {
-                interp_range(kernel, fine, pts, grid, start..end, slice);
-            });
-        }
-    })
-    .expect("interp worker panicked");
+    for (&j, v) in perm.iter().zip(sorted) {
+        out[j as usize] = v;
+    }
 }
 
 #[cfg(test)]
@@ -288,6 +325,45 @@ mod tests {
     use nufft_common::metrics::rel_l2;
     use nufft_common::workload::{gen_points, gen_strengths, PointDist};
     use nufft_kernels::EsKernel;
+
+    /// Reference interpolation: every point in user order, every row
+    /// through the wrapped index table.
+    fn interp_range<T: Real, K: Kernel1d>(
+        kernel: &K,
+        fine: Shape,
+        pts: &Points<T>,
+        grid: &[Complex<T>],
+        j_range: std::ops::Range<usize>,
+        out: &mut [Complex<T>],
+    ) {
+        let [n1, n2, _] = fine.n;
+        let mut idx = [[0usize; MAX_W]; 3];
+        for (slot, j) in j_range.enumerate() {
+            let fp = footprint(kernel, fine, pts, j);
+            wrap_indices(fine, &fp, &mut idx);
+            let mut acc = Complex::<T>::ZERO;
+            for t3 in 0..fp.wd[2] {
+                let k3 = fp.ker[2][t3];
+                let off3 = idx[2][t3] * n1 * n2;
+                for t2 in 0..fp.wd[1] {
+                    let k23 = fp.ker[1][t2] * k3;
+                    let base = off3 + idx[1][t2] * n1;
+                    let mut row = Complex::<T>::ZERO;
+                    for t1 in 0..fp.wd[0] {
+                        row += grid[base + idx[0][t1]].scale(T::from_f64(fp.ker[0][t1]));
+                    }
+                    acc += row.scale(T::from_f64(k23));
+                }
+            }
+            out[slot] = acc;
+        }
+    }
+
+    fn bits<T: Real>(v: &[Complex<T>]) -> Vec<(u64, u64)> {
+        v.iter()
+            .map(|z| (z.re.to_f64().to_bits(), z.im.to_f64().to_bits()))
+            .collect()
+    }
 
     /// Direct periodized-kernel sum, eq. 7 of the paper (ground truth).
     fn spread_direct(
@@ -433,7 +509,7 @@ mod tests {
         let mut sp = vec![Complex::<f64>::ZERO; fine.total()];
         spread_serial(&kernel, fine, &pts, &cs, &order, &mut sp);
         let mut it = vec![Complex::<f64>::ZERO; m];
-        interp(&kernel, fine, &pts, &g, &mut it, 1);
+        interp(&kernel, fine, &pts, &g, &order, &mut it, 1);
         // spread uses conj-free real weights, so <Sc, g> = <c, S^T g>
         let lhs = nufft_common::metrics::inner(&sp, &g);
         let rhs = nufft_common::metrics::inner(&cs, &it);
@@ -450,15 +526,69 @@ mod tests {
         let m = 20_000;
         let pts = gen_points::<f64>(PointDist::Rand, 3, m, fine, 55);
         let g = gen_strengths::<f64>(fine.total(), 56);
+        let sort = crate::sort::bin_sort(&pts, fine, [8, 8, 4]);
         let mut a = vec![Complex::<f64>::ZERO; m];
         let mut b = vec![Complex::<f64>::ZERO; m];
-        interp(&kernel, fine, &pts, &g, &mut a, 1);
-        interp(&kernel, fine, &pts, &g, &mut b, 5);
+        interp(&kernel, fine, &pts, &g, &sort.perm, &mut a, 1);
+        interp(&kernel, fine, &pts, &g, &sort.perm, &mut b, 5);
         assert_eq!(
             a.iter().map(|z| (z.re, z.im)).collect::<Vec<_>>(),
             b.iter().map(|z| (z.re, z.im)).collect::<Vec<_>>(),
             "interp is read-only so parallel must be bit-exact"
         );
+    }
+
+    /// Random points plus points pinned to both ends of each axis, so
+    /// that footprints wrap in x, y and z.
+    fn points_with_edges<T: Real>(dim: usize, m: usize, fine: Shape, seed: u64) -> Points<T> {
+        let mut pts = gen_points::<T>(PointDist::Rand, dim, m, fine, seed);
+        let edges = [
+            -std::f64::consts::PI,
+            -1e-9,
+            0.0,
+            1e-9,
+            std::f64::consts::PI - 1e-9,
+        ];
+        for i in 0..dim {
+            for (k, &e) in edges.iter().enumerate() {
+                for (a, coord) in pts.coords[..dim].iter_mut().enumerate() {
+                    let v = if a == i { e } else { 0.3 * k as f64 - 1.0 };
+                    coord.push(T::from_f64(v));
+                }
+            }
+        }
+        pts
+    }
+
+    fn check_sorted_interp_matches_reference<T: Real>(fine: Shape, w: usize, m: usize) {
+        let kernel = EsKernel::with_width(w);
+        let pts = points_with_edges::<T>(fine.dim, m, fine, 61);
+        let m = pts.len();
+        // every axis has footprints that wrap
+        for i in 0..fine.dim {
+            let wraps = (0..m).any(|j| {
+                let (l0, _) = start_node(fine, &pts, w, i, j);
+                l0 < 0 || l0 + w as i64 > fine.n[i] as i64
+            });
+            assert!(wraps, "axis {i} has no wrapping footprint");
+        }
+        let g = gen_strengths::<T>(fine.total(), 62);
+        let mut want = vec![Complex::<T>::ZERO; m];
+        interp_range(&kernel, fine, &pts, &g, 0..m, &mut want);
+        let sort = crate::sort::bin_sort(&pts, fine, [8, 8, 4]);
+        let identity: Vec<u32> = (0..m as u32).collect();
+        for (perm, nthreads) in [(&sort.perm, 1), (&sort.perm, 3), (&identity, 2)] {
+            let mut got = vec![Complex::<T>::ZERO; m];
+            interp(&kernel, fine, &pts, &g, perm, &mut got, nthreads);
+            assert_eq!(bits(&got), bits(&want), "nthreads={nthreads}");
+        }
+    }
+
+    #[test]
+    fn sorted_interp_matches_user_order_reference_bitwise() {
+        check_sorted_interp_matches_reference::<f64>(Shape::d3(16, 12, 10), 5, 9000);
+        check_sorted_interp_matches_reference::<f32>(Shape::d2(40, 24), 7, 9000);
+        check_sorted_interp_matches_reference::<f64>(Shape::d2(20, 18), 4, 300);
     }
 
     #[test]

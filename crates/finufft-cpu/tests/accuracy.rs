@@ -185,6 +185,46 @@ fn unsorted_option_gives_same_answer() {
     assert!(rel_l2(&a, &b) < 1e-12);
 }
 
+/// Type 1 of `m` points on `modes`, as bits, with `nthreads` workers.
+fn t1_bits<T: Real>(modes: &[usize], dist: PointDist, m: usize, nthreads: usize) -> Vec<u64> {
+    let shape = Shape::from_slice(modes);
+    let opts = Opts {
+        nthreads,
+        ..Default::default()
+    };
+    let mut plan = Plan::<T>::new(TransformType::Type1, modes, -1, 1e-5, opts).unwrap();
+    let pts: Points<T> = gen_points(dist, modes.len(), m, plan.fine_grid_shape(), 71);
+    let cs = gen_strengths::<T>(m, 72);
+    plan.set_pts(pts).unwrap();
+    let mut out = vec![Complex::<T>::ZERO; shape.total()];
+    plan.execute(&cs, &mut out).unwrap();
+    out.iter()
+        .flat_map(|z| [z.re.to_f64().to_bits(), z.im.to_f64().to_bits()])
+        .collect()
+}
+
+fn check_type1_reproducible<T: Real>(modes: &[usize]) {
+    // three spread chunks, so the merge order matters
+    let m = 10_000;
+    for dist in [PointDist::Rand, PointDist::Cluster] {
+        let want = t1_bits::<T>(modes, dist, m, 1);
+        for nthreads in [1, 2, 3, 8, 2, 3] {
+            assert!(
+                t1_bits::<T>(modes, dist, m, nthreads) == want,
+                "{modes:?} {dist:?} nthreads={nthreads}: output bits differ"
+            );
+        }
+    }
+}
+
+#[test]
+fn type1_is_bitwise_reproducible_across_runs_and_thread_counts() {
+    check_type1_reproducible::<f64>(&[24, 20]);
+    check_type1_reproducible::<f32>(&[24, 20]);
+    check_type1_reproducible::<f64>(&[10, 12, 8]);
+    check_type1_reproducible::<f32>(&[10, 12, 8]);
+}
+
 #[test]
 fn error_paths() {
     use nufft_common::NufftError;

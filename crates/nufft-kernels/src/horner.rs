@@ -9,11 +9,18 @@
 //! basis and evaluate with Clenshaw recurrence (numerically stable, same
 //! cost as Horner).
 //!
+//! The table is stored degree-major, so one recurrence advances every
+//! node at each degree step (FINUFFT's layout, arXiv 1808.06736 §4):
+//! the inner loop runs over independent nodes instead of down one
+//! serial chain. Each node still sees exactly the operations of its own
+//! Clenshaw chain, in the same order, so rows are bit-identical to
+//! evaluating node by node.
+//!
 //! Near `z = +/-1` the ES kernel has a square-root branch point, but its
 //! magnitude there is `~e^{-beta} ~ eps`, so the fit's absolute error
 //! stays at the kernel's own design tolerance.
 
-use crate::es::EsKernel;
+use crate::es::{EsKernel, MAX_WIDTH};
 use crate::Kernel1d;
 
 /// Maximum Chebyshev degree used in a fit.
@@ -23,9 +30,11 @@ const MAX_DEGREE: usize = 24;
 #[derive(Clone, Debug)]
 pub struct HornerKernel {
     inner: EsKernel,
-    /// `coeffs[t]` holds the Chebyshev coefficients of node `t`'s value
-    /// as a function of the normalized fractional position `u in [-1,1]`.
-    coeffs: Vec<Vec<f64>>,
+    /// `coeffs[k][t]` is the degree-`k` Chebyshev coefficient of node
+    /// `t`'s value as a function of the normalized fractional position
+    /// `u in [-1,1]`. Columns `t >= w` are zero, so `eval_row` can step
+    /// over node pairs without a remainder loop.
+    coeffs: Vec<[f64; MAX_WIDTH]>,
 }
 
 impl HornerKernel {
@@ -35,31 +44,30 @@ impl HornerKernel {
         let w = inner.w;
         let degree = (w + 6).min(MAX_DEGREE);
         let n = degree + 1;
-        // Chebyshev nodes and the node-t sample functions
-        let mut coeffs = Vec::with_capacity(w);
+        let mut coeffs = vec![[0.0f64; MAX_WIDTH]; n];
         for t in 0..w {
+            // Chebyshev nodes and the node-t sample function
             let f = |u: f64| {
                 // xi = -w/2 + (u+1)/2 ; z_t = (u + 1 - w + 2 t) / w
                 let z = (u + 1.0 - w as f64 + 2.0 * t as f64) / w as f64;
                 inner.eval(z)
             };
-            let mut c = vec![0.0f64; n];
-            for (k, ck) in c.iter_mut().enumerate() {
+            for (k, row) in coeffs.iter_mut().enumerate() {
                 let mut acc = 0.0;
                 for j in 0..n {
                     let theta = std::f64::consts::PI * (j as f64 + 0.5) / n as f64;
                     acc += f(theta.cos()) * (k as f64 * theta).cos();
                 }
-                *ck = 2.0 * acc / n as f64;
+                row[t] = 2.0 * acc / n as f64;
             }
-            c[0] *= 0.5;
-            coeffs.push(c);
+            coeffs[0][t] *= 0.5;
         }
         HornerKernel { inner, coeffs }
     }
 
-    /// Clenshaw evaluation of one node's fit at `u in [-1, 1]`.
-    #[inline]
+    /// Clenshaw evaluation of one node's fit at `u in [-1, 1]`: the
+    /// node-by-node reference `eval_row` must match bit for bit.
+    #[cfg(test)]
     fn clenshaw(c: &[f64], u: f64) -> f64 {
         let mut b1 = 0.0f64;
         let mut b2 = 0.0f64;
@@ -83,8 +91,8 @@ impl HornerKernel {
     /// path meets the requested tolerance.
     pub fn max_fit_error(&self) -> f64 {
         let w = self.inner.w;
-        let mut exact = [0.0f64; crate::es::MAX_WIDTH];
-        let mut fitted = [0.0f64; crate::es::MAX_WIDTH];
+        let mut exact = [0.0f64; MAX_WIDTH];
+        let mut fitted = [0.0f64; MAX_WIDTH];
         let mut worst = 0.0f64;
         const SAMPLES: usize = 128;
         for i in 0..=SAMPLES {
@@ -116,15 +124,31 @@ impl Kernel1d for HornerKernel {
     }
 
     /// The hot path: all `w` node values from one fractional position via
-    /// the precomputed fits.
+    /// the precomputed fits, two nodes per inner step.
     #[inline]
     fn eval_row(&self, z0: f64, out: &mut [f64]) {
         let w = self.inner.w;
         debug_assert_eq!(out.len(), w);
         // z0 = 2 xi / w with xi in [-w/2, -w/2 + 1) => u = w z0 + w - 1
         let u = (w as f64 * z0 + w as f64 - 1.0).clamp(-1.0, 1.0);
+        let two_u = 2.0 * u;
+        // w <= MAX_WIDTH always; the `min` lets the compiler drop the
+        // bounds checks in the inner loop
+        let pairs = w.div_ceil(2).min(MAX_WIDTH / 2);
+        let mut b1 = [[0.0f64; 2]; MAX_WIDTH / 2];
+        let mut b2 = [[0.0f64; 2]; MAX_WIDTH / 2];
+        for ck in self.coeffs.iter().rev() {
+            for p in 0..pairs {
+                let (x1, x2) = (b1[p], b2[p]);
+                b1[p] = [
+                    ck[2 * p] + two_u * x1[0] - x2[0],
+                    ck[2 * p + 1] + two_u * x1[1] - x2[1],
+                ];
+                b2[p] = x1;
+            }
+        }
         for (t, o) in out.iter_mut().enumerate() {
-            *o = Self::clenshaw(&self.coeffs[t], u);
+            *o = b1[t / 2][t % 2] - u * b2[t / 2][t % 2];
         }
     }
 }
@@ -212,6 +236,34 @@ mod tests {
                     assert!(
                         (exact[t] - fitted[t]).abs() < tol,
                         "edge w={w} frac={frac} t={t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_node_rows_equal_per_node_clenshaw_bitwise() {
+        for w in 2..=MAX_WIDTH {
+            let hk = HornerKernel::fit(EsKernel::with_width(w));
+            let columns: Vec<Vec<f64>> = (0..w)
+                .map(|t| hk.coeffs.iter().map(|row| row[t]).collect())
+                .collect();
+            let fracs = (0..200)
+                .map(|i| i as f64 / 200.0)
+                .chain([1.0 - f64::EPSILON, 1.0]);
+            for frac in fracs {
+                let (_, z0) = spread_footprint(7.0 + frac, w);
+                let mut row = vec![0.0; w];
+                hk.eval_row(z0, &mut row);
+                let u = (w as f64 * z0 + w as f64 - 1.0).clamp(-1.0, 1.0);
+                for (t, c) in columns.iter().enumerate() {
+                    let want = HornerKernel::clenshaw(c, u);
+                    assert_eq!(
+                        row[t].to_bits(),
+                        want.to_bits(),
+                        "w={w} frac={frac} t={t}: {} vs {want}",
+                        row[t]
                     );
                 }
             }
