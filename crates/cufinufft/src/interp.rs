@@ -187,10 +187,14 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
     )?;
     let [n1, n2, n3] = fine.n;
     let half = (pad / 2) as i64;
-    let mut addrs = [0usize; 32];
-    let mut idx = [[0usize; MAX_W]; 3];
-    for sp in subproblems {
-        let mut b = k.block();
+    // One thread block per subproblem; each point's value is written by
+    // exactly one thread, so blocks return their (j, value) writes and
+    // the ordered apply stores them (see `Kernel::run_blocks`).
+    let body = |bid: usize, b: &mut gpu_sim::BlockAcc<'_>| {
+        let sp = &subproblems[bid];
+        let mut addrs = [0usize; 32];
+        let mut idx = [[0usize; MAX_W]; 3];
+        let mut writes: Vec<(usize, Complex<T>)> = Vec::with_capacity(sp.len as usize);
         let o = layout.origin(sp.bin as usize);
         let delta = [
             o[0] as i64 - half * (dim >= 1) as i64,
@@ -240,7 +244,7 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
                         acc += row.scale(T::from_f64(k23));
                     }
                 }
-                out[j as usize] = acc;
+                writes.push((j as usize, acc));
             }
             // output writes
             for (l, &j) in warp.iter().enumerate() {
@@ -248,8 +252,13 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
             }
             b.warp_access(&addrs[..warp.len()]);
         }
-        b.finish();
-    }
+        writes
+    };
+    k.run_blocks(subproblems.len(), body, |_bid, writes| {
+        for (j, v) in writes {
+            out[j] = v;
+        }
+    });
     Ok(dev.launch_end(k))
 }
 
@@ -448,19 +457,50 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sm_interp_matches_gm_interp_exactly() {
+    /// A launch report as the bit patterns the pins below hold: duration,
+    /// the seven `Breakdown` terms, L2 and DRAM bytes, flops, global
+    /// atomics, hotspot count and blocks.
+    fn report_bits(r: &LaunchReport) -> [u64; 14] {
+        let b = &r.breakdown;
+        [
+            r.duration.to_bits(),
+            b.makespan.to_bits(),
+            b.l2.to_bits(),
+            b.dram.to_bits(),
+            b.compute.to_bits(),
+            b.atomic_hotspot.to_bits(),
+            b.atomic_ops.to_bits(),
+            b.overhead.to_bits(),
+            r.l2_bytes.to_bits(),
+            r.dram_bytes.to_bits(),
+            r.flops.to_bits(),
+            r.global_atomics,
+            r.atomic_hotspot_count,
+            r.blocks as u64,
+        ]
+    }
+
+    /// Interpolate one random grid at `m` points through GM-sort and SM
+    /// with `threads` host workers; asserts the two agree exactly and
+    /// returns the SM launch report and output.
+    fn sm_interp_case<T: Real>(
+        dist: PointDist,
+        fine: Shape,
+        bins: [usize; 3],
+        m: usize,
+        threads: usize,
+    ) -> (LaunchReport, Vec<Complex<T>>) {
         use crate::bins::{build_subproblems, gpu_bin_sort};
         let dev = Device::v100();
-        let fine = Shape::d2(128, 128);
+        dev.set_host_parallelism(threads);
         let kernel = EsKernel::with_width(6);
-        let m = 2000;
-        let pts = gen_points::<f64>(PointDist::Rand, 2, m, fine, 61);
-        let grid = gen_strengths::<f64>(fine.total(), 62);
-        let sort = gpu_bin_sort(&dev, &pts, fine, [32, 32, 1]);
+        let dim = fine.dim;
+        let pts = gen_points::<T>(dist, dim, m, fine, 61);
+        let grid = gen_strengths::<T>(fine.total(), 62);
+        let sort = gpu_bin_sort(&dev, &pts, fine, bins);
         let subs = build_subproblems(&dev, &sort, 1024);
-        let mut a = vec![Complex::<f64>::ZERO; m];
-        let mut b = vec![Complex::<f64>::ZERO; m];
+        let mut a = vec![Complex::<T>::ZERO; m];
+        let mut b = vec![Complex::<T>::ZERO; m];
         interp_gm(
             &dev,
             "g",
@@ -473,7 +513,7 @@ mod tests {
             128,
         )
         .unwrap();
-        interp_sm(
+        let r = interp_sm(
             &dev,
             &kernel,
             fine,
@@ -489,6 +529,76 @@ mod tests {
             assert_eq!(a[j].re, b[j].re);
             assert_eq!(a[j].im, b[j].im);
         }
+        (r, b)
+    }
+
+    #[test]
+    fn sm_interp_matches_gm_interp_exactly() {
+        sm_interp_case::<f64>(PointDist::Rand, Shape::d2(128, 128), [32, 32, 1], 2000, 1);
+        // Launch prices pinned bit for bit; host workers must change
+        // neither the price nor the output.
+        let pin_2d_f32_cluster: [u64; 14] = [
+            0x3eed02ce0b187fb2,
+            0x3ee6b8312ed4469d,
+            0x3e59f572c25d8023,
+            0x3e54ebd7e2f54507,
+            0x3e8a9fd9a2e0c2c0,
+            0,
+            0,
+            0x3ec92a737110e454,
+            0x40e79c0000000000,
+            0x40d1200000000000,
+            0x412da9c000000000,
+            0,
+            0,
+            2,
+        ];
+        let pin_3d_f64_rand: [u64; 14] = [
+            0x3ee30e9b0a8bbfa4,
+            0x3ed987fc5c8f0d1d,
+            0x3eb59ccfaccc693c,
+            0x3e8bf70ad92e273f,
+            0x3ea8d975cb382d3c,
+            0,
+            0,
+            0x3ec92a737110e454,
+            0x4143a81000000000,
+            0x4106e40000000000,
+            0x413baf8000000000,
+            0,
+            0,
+            40,
+        ];
+        let mut outs32 = Vec::new();
+        let mut outs64 = Vec::new();
+        for threads in [1, 4] {
+            let (r, out) = sm_interp_case::<f32>(
+                PointDist::Cluster,
+                Shape::d2(64, 64),
+                [32, 32, 1],
+                1500,
+                threads,
+            );
+            assert_eq!(report_bits(&r), pin_2d_f32_cluster, "threads={threads}");
+            outs32.push(out);
+            let (r, out) = sm_interp_case::<f64>(
+                PointDist::Rand,
+                Shape::d3(32, 24, 20),
+                [16, 16, 2],
+                800,
+                threads,
+            );
+            assert_eq!(report_bits(&r), pin_3d_f64_rand, "threads={threads}");
+            outs64.push(out);
+        }
+        let bits32 = |v: &[Complex<f32>]| -> Vec<(u32, u32)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        let bits64 = |v: &[Complex<f64>]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        assert_eq!(bits32(&outs32[0]), bits32(&outs32[1]));
+        assert_eq!(bits64(&outs64[0]), bits64(&outs64[1]));
     }
 
     #[test]

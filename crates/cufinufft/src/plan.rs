@@ -4,8 +4,8 @@
 
 use crate::bins::{build_subproblems, gpu_bin_sort, GpuBinSort, Subproblem};
 use crate::interp::interp_batch;
-use crate::opts::{default_bin_size, resolve_spread_method, GpuOpts, Method, ModeOrder, Tuning};
-use crate::recovery::{with_retry, RecoveryReport};
+use crate::opts::{default_bin_size, GpuOpts, Method, ModeOrder, Tuning};
+use crate::recovery::{resolve_method_with_fallback, with_retry, RecoveryReport};
 use crate::spread::{spread_batch, PricedLaunches, PtsRef, SpreadInputs};
 use gpu_sim::{Device, GpuBuffer, HazardMode, HazardReport, Lane, Precision, Trace, TraceReport};
 use nufft_common::complex::Complex;
@@ -517,31 +517,15 @@ impl<T: Real> Plan<T> {
         let eval_kernel = EvalKernel::select(kernel, eps, opts.tuning.kernel_eval);
         let cb = std::mem::size_of::<Complex<T>>();
         let mut recovery = RecoveryReport::default();
-        let spread_method = match resolve_spread_method(
-            opts.method,
+        let spread_method = resolve_method_with_fallback(
+            &opts,
+            dev,
             bin_size,
             modes.dim,
             kernel.w,
             cb,
-            opts.tuning
-                .shared_mem_budget
-                .min(dev.props().shared_mem_per_block),
-        ) {
-            Ok(m) => m,
-            Err(e @ NufftError::MethodUnavailable(_)) if opts.recovery.allow_method_fallback => {
-                // the policy prefers a working plan over the requested
-                // method: degrade to GM-sort, the method Auto would use
-                recovery.method_fallbacks += 1;
-                recovery
-                    .events
-                    .push(format!("method fallback to GM-sort: {e}"));
-                if let Some(t) = &trace {
-                    t.counter("recovery.fallbacks").inc();
-                }
-                Method::GmSort
-            }
-            Err(e) => return Err(e),
-        };
+            &mut recovery,
+        )?;
         let corr = correction_rows(&kernel, modes, fine);
         let fft = gpu_fft::GpuFftPlan::new(fine);
         let policy = opts.recovery;

@@ -5,7 +5,7 @@
 //! actually produces: transient transfer or launch glitches, memory
 //! pressure from co-tenant plans, and configurations where the SM
 //! spreader does not fit. The [`RecoveryPolicy`] on
-//! [`GpuOpts`](crate::GpuOpts) drives three behaviors in the plan
+//! [`GpuOpts`] drives three behaviors in the plan
 //! pipeline:
 //!
 //! 1. **Method fallback** — an explicit [`Method::Sm`](crate::Method)
@@ -23,6 +23,7 @@
 //! session (`recovery.*` counters) and accumulated in the
 //! [`RecoveryReport`] returned by `Plan::recovery_report()`.
 
+use crate::opts::{resolve_spread_method, GpuOpts, Method};
 use gpu_sim::{Device, DeviceFault, FaultKind, Trace};
 use nufft_common::error::{NufftError, Result};
 
@@ -108,6 +109,37 @@ impl RecoveryReport {
     /// True when no fault was ever observed by this plan.
     pub fn is_clean(&self) -> bool {
         self == &RecoveryReport::default()
+    }
+}
+
+/// Resolve the spreading method of a plan with kernel width `w` (see
+/// [`resolve_spread_method`]). An explicit SM request that does not fit
+/// the shared-memory budget degrades to GM-sort, the method `Auto` would
+/// use, when the policy allows it; the fallback is logged in `rec` and
+/// counted as `recovery.fallbacks`.
+pub(crate) fn resolve_method_with_fallback(
+    opts: &GpuOpts,
+    dev: &Device,
+    bin_size: [usize; 3],
+    dim: usize,
+    w: usize,
+    complex_bytes: usize,
+    rec: &mut RecoveryReport,
+) -> Result<Method> {
+    let budget = opts
+        .tuning
+        .shared_mem_budget
+        .min(dev.props().shared_mem_per_block);
+    match resolve_spread_method(opts.method, bin_size, dim, w, complex_bytes, budget) {
+        Err(e @ NufftError::MethodUnavailable(_)) if opts.recovery.allow_method_fallback => {
+            rec.method_fallbacks += 1;
+            rec.events.push(format!("method fallback to GM-sort: {e}"));
+            if let Some(t) = &opts.trace {
+                t.counter("recovery.fallbacks").inc();
+            }
+            Ok(Method::GmSort)
+        }
+        r => r,
     }
 }
 

@@ -10,9 +10,9 @@
 //! benchmarks.
 
 use crate::bins::{build_subproblems, gpu_bin_sort};
-use crate::opts::{default_bin_size, resolve_spread_method, GpuOpts, Method};
+use crate::opts::{default_bin_size, GpuOpts, Method};
 use crate::plan::{GpuStageTimings, Plan};
-use crate::recovery::{with_retry, RecoveryReport};
+use crate::recovery::{resolve_method_with_fallback, with_retry, RecoveryReport};
 use crate::spread::{spread_gm, spread_sm, PtsRef};
 use gpu_sim::{Device, GpuBuffer, Precision};
 use nufft_common::complex::Complex;
@@ -142,32 +142,15 @@ impl<T: Real> GpuType3Plan<T> {
             .tuning
             .bin_size
             .unwrap_or_else(|| default_bin_size(self.dim));
-        let spread_method = match resolve_spread_method(
-            self.opts.method,
+        let spread_method = resolve_method_with_fallback(
+            &self.opts,
+            &self.dev,
             bin_size,
             self.dim,
             w,
             cb,
-            self.opts
-                .tuning
-                .shared_mem_budget
-                .min(self.dev.props().shared_mem_per_block),
-        ) {
-            Ok(m) => m,
-            Err(e @ NufftError::MethodUnavailable(_))
-                if self.opts.recovery.allow_method_fallback =>
-            {
-                self.recovery.method_fallbacks += 1;
-                self.recovery
-                    .events
-                    .push(format!("method fallback to GM-sort: {e}"));
-                if let Some(t) = &self.opts.trace {
-                    t.counter("recovery.fallbacks").inc();
-                }
-                Method::GmSort
-            }
-            Err(e) => return Err(e),
-        };
+            &mut self.recovery,
+        )?;
         // rescaled sources, transferred to the device
         let m = x.len();
         let mut xp = Points {

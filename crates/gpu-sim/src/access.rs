@@ -42,7 +42,7 @@ pub enum Scope {
 }
 
 /// Handle to a buffer registered on a [`KernelTrace`]. Obtained from
-/// [`KernelTrace::buffer`] (or `BlockCtx::trace_buffer`); cheap to copy
+/// [`KernelTrace::buffer`] (or `Kernel::trace_buffer`); cheap to copy
 /// into inner loops.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct BufId(pub(crate) u16);
@@ -176,9 +176,9 @@ impl KernelTrace {
 /// functional code.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Contract {
-    /// Global atomic ops charged via `BlockCtx::global_atomic`.
+    /// Global atomic ops charged via `BlockAcc::global_atomic`.
     pub global_atomics: Option<u64>,
-    /// Shared-memory atomic ops charged via `BlockCtx::shared_atomic`.
+    /// Shared-memory atomic ops charged via `BlockAcc::shared_atomic`.
     pub shared_atomics: Option<u64>,
     /// Shared bytes per block declared in the `LaunchConfig`.
     pub shared_bytes: Option<usize>,

@@ -782,10 +782,14 @@ mod tests {
         let mut k = dev
             .kernel("spread", LaunchConfig::new(Precision::Single, 128))
             .unwrap();
-        let mut b = k.block();
-        b.flops(1000);
-        b.stream_bytes(4096);
-        b.finish();
+        k.run_blocks(
+            1,
+            |_, b| {
+                b.flops(1000);
+                b.stream_bytes(4096);
+            },
+            |_, ()| {},
+        );
         let report = dev.launch_end(k);
         assert!(report.duration > 0.0);
         let tl = dev.timeline();
@@ -806,11 +810,15 @@ mod tests {
             let report = match replay {
                 Some(priced) => dev.launch_priced(k, priced),
                 None => {
-                    let mut b = k.block();
-                    b.flops(1000);
-                    b.stream_bytes(4096);
-                    b.global_atomic_n(0, 3);
-                    b.finish();
+                    k.run_blocks(
+                        1,
+                        |_, b| {
+                            b.flops(1000);
+                            b.stream_bytes(4096);
+                            b.global_atomic_n(0, 3);
+                        },
+                        |_, ()| {},
+                    );
                     dev.launch_end(k)
                 }
             };

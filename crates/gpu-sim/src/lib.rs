@@ -42,7 +42,7 @@ pub use access_plan::{
 };
 pub use device::{Device, GpuBuffer, OpKind, TimelineRecord};
 pub use faults::{DeviceFault, FaultKind, FaultMode, FaultPlan, FaultSite};
-pub use kernel::{BlockAcc, BlockCtx, Breakdown, Kernel, LaunchConfig, LaunchReport};
+pub use kernel::{BlockAcc, Breakdown, Kernel, LaunchConfig, LaunchReport};
 pub use props::{DeviceProps, Precision};
 pub use report::{overlap_stats, profile_table, summarize, OpSummary, OverlapStats};
 pub use stream::{sync_streams, EngineState, Stream, StreamOp};

@@ -134,9 +134,7 @@ mod tests {
             let mut k = dev
                 .kernel("spread", LaunchConfig::new(Precision::Single, 128))
                 .unwrap();
-            let mut b = k.block();
-            b.flops(1_000_000);
-            b.finish();
+            k.run_blocks(1, |_, b| b.flops(1_000_000), |_, ()| {});
             dev.launch_end(k);
         }
         dev.bulk_op("cufft", 1 << 20, 1 << 20, 1e6, Precision::Single);

@@ -143,9 +143,7 @@ mod tests {
             LaunchConfig::new(Precision::Single, 256).with_shared(shared),
             props,
         );
-        let mut b = k.block();
-        b.shared_ops(1_000_000);
-        b.finish();
+        k.run_blocks(1, |_, b| b.shared_ops(1_000_000), |_, ()| {});
         let (r, _) = k.price();
         assert_eq!(r.blocks, 1);
         assert!(r.breakdown.makespan > 0.0);

@@ -17,9 +17,7 @@ proptest! {
             let dev = Device::v100();
             dev.set_record_timeline(false);
             let mut k = dev.kernel("t", LaunchConfig::new(Precision::Single, 128)).unwrap();
-            let mut blk = k.block();
-            blk.stream_bytes(kb * 1024);
-            blk.finish();
+            k.run_blocks(1, |_, blk| blk.stream_bytes(kb * 1024), |_, ()| {});
             dev.launch_end(k).duration
         };
         prop_assert!(run(hi) + 1e-15 >= run(lo));
@@ -34,11 +32,15 @@ proptest! {
             dev.set_record_timeline(false);
             let mut k = dev.kernel("t", LaunchConfig::new(Precision::Single, 128)).unwrap();
             k.atomic_region(64, 8);
-            let mut blk = k.block();
-            for _ in 0..n {
-                blk.global_atomic(0);
-            }
-            blk.finish();
+            k.run_blocks(
+                1,
+                |_, blk| {
+                    for _ in 0..n {
+                        blk.global_atomic(0);
+                    }
+                },
+                |_, ()| {},
+            );
             dev.launch_end(k).duration
         };
         prop_assert!(run(hi) >= run(lo));
@@ -52,11 +54,7 @@ proptest! {
             let dev = Device::v100();
             dev.set_record_timeline(false);
             let mut k = dev.kernel("t", LaunchConfig::new(Precision::Single, 128)).unwrap();
-            for _ in 0..nblocks {
-                let mut blk = k.block();
-                blk.flops(total_flops / nblocks as u64);
-                blk.finish();
-            }
+            k.run_blocks(nblocks, |_, blk| blk.flops(total_flops / nblocks as u64), |_, ()| {});
             dev.launch_end(k).breakdown.makespan
         };
         prop_assert!(run(parts) <= run(1) + 1e-15);
@@ -70,12 +68,19 @@ proptest! {
         let dev = Device::v100();
         dev.set_record_timeline(false);
         let mut k = dev.kernel("t", LaunchConfig::new(Precision::Single, 128)).unwrap();
-        let mut blk = k.block();
+        k.run_blocks(
+            1,
+            |_, blk| {
+                for &(start, len) in &spans {
+                    blk.dram_span(start, len, false);
+                }
+            },
+            |_, ()| {},
+        );
         let line = dev.props().line_bytes;
         let mut raw_lines = 0u64;
         let mut distinct = std::collections::HashSet::new();
         for &(start, len) in &spans {
-            blk.dram_span(start, len, false);
             let first = start / line;
             let last = (start + len - 1) / line;
             raw_lines += (last - first + 1) as u64;
@@ -83,7 +88,6 @@ proptest! {
                 distinct.insert(l);
             }
         }
-        blk.finish();
         let rep = dev.launch_end(k);
         let dram_lines = (rep.dram_bytes / line as f64).round() as u64;
         prop_assert!(dram_lines <= raw_lines);
@@ -115,10 +119,14 @@ proptest! {
             let dev = Device::new(props);
             dev.set_record_timeline(false);
             let mut k = dev.kernel("t", LaunchConfig::new(Precision::Single, 128)).unwrap();
-            let mut blk = k.block();
-            blk.stream_bytes(kb * 1024);
-            blk.flops(kb as u64 * 5000);
-            blk.finish();
+            k.run_blocks(
+                1,
+                |_, blk| {
+                    blk.stream_bytes(kb * 1024);
+                    blk.flops(kb as u64 * 5000);
+                },
+                |_, ()| {},
+            );
             dev.launch_end(k).duration
         };
         prop_assert!(run(DeviceProps::half_v100()) >= run(DeviceProps::v100()));
@@ -131,9 +139,7 @@ proptest! {
             let dev = Device::v100();
             dev.set_record_timeline(false);
             let mut k = dev.kernel("t", LaunchConfig::new(p, 128)).unwrap();
-            let mut blk = k.block();
-            blk.flops(flops);
-            blk.finish();
+            k.run_blocks(1, |_, blk| blk.flops(flops), |_, ()| {});
             dev.launch_end(k).duration
         };
         prop_assert!(run(Precision::Double) >= run(Precision::Single));

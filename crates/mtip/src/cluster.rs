@@ -194,13 +194,15 @@ pub fn weak_scaling(
     // random orientations), so a handful of distinct simulations
     // suffices; reuse them cyclically for large rank counts
     let distinct = max_ranks.min(4);
-    let sampled: Vec<RankTiming> = crossbeam::scope(|s| {
+    let sampled: Vec<RankTiming> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..distinct)
-            .map(|r| s.spawn(move |_| run_rank(task, seed + r as u64)))
+            .map(|r| s.spawn(move || run_rank(task, seed + r as u64)))
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .expect("rank thread panicked");
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
     let timings: Vec<RankTiming> = (0..max_ranks).map(|r| sampled[r % distinct]).collect();
     (1..=max_ranks)
         .map(|ranks| {

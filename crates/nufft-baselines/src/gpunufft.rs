@@ -374,7 +374,7 @@ impl<T: Real> GpunufftPlan<T> {
         let sort = self.sort.as_ref().expect("points set");
         let fine = self.fine;
         let dim = self.modes.dim;
-        let [n1, n2, n3] = fine.n;
+        let [n1, n2, _] = fine.n;
         let cb = std::mem::size_of::<Complex<T>>();
         let prec = if T::IS_DOUBLE {
             Precision::Double
@@ -418,72 +418,84 @@ impl<T: Real> GpunufftPlan<T> {
             }
             out
         };
-        let mut addrs = [0usize; 32];
+        let run_of = |nb: usize| &sort.perm[sort.starts[nb] as usize..sort.starts[nb + 1] as usize];
+        // One thread block per (sector, candidate chunk): the candidates
+        // are the points of the sector's 3^d neighbourhood, CHUNK at a time.
+        let mut blocks: Vec<(usize, usize)> = Vec::new();
         for sec in 0..total_sectors {
-            // candidate list: all points of the 3^d sector neighbourhood
-            let mut candidates: Vec<u32> = Vec::new();
+            let n_cand: usize = neighbors(sec).into_iter().map(|nb| run_of(nb).len()).sum();
+            blocks.extend((0..n_cand).step_by(CHUNK).map(|lo| (sec, lo)));
+        }
+        let prf = PtsRef {
+            coords: [&pts.coords[0], &pts.coords[1], &pts.coords[2]],
+            dim,
+        };
+        // Blocks return their (cell, delta) grid updates; the ordered
+        // apply adds them in block-id order, the serial add sequence.
+        let body = |bid: usize, b: &mut gpu_sim::BlockAcc<'_>| {
+            let (sec, lo) = blocks[bid];
+            let mut chunk: Vec<u32> = Vec::with_capacity(CHUNK);
+            let mut skip = lo;
             for nb in neighbors(sec) {
-                candidates.extend_from_slice(
-                    &sort.perm[sort.starts[nb] as usize..sort.starts[nb + 1] as usize],
-                );
-            }
-            if candidates.is_empty() {
-                continue;
+                let run = run_of(nb);
+                let from = skip.min(run.len());
+                skip -= from;
+                let take = (CHUNK - chunk.len()).min(run.len() - from);
+                chunk.extend_from_slice(&run[from..from + take]);
             }
             // sector cell origin
             let s1 = sec % nsec[0];
             let r = sec / nsec[0];
             let (s2, s3) = (r % nsec[1], r / nsec[1]);
             let o = [s1 * SECTOR_WIDTH, s2 * SECTOR_WIDTH, s3 * SECTOR_WIDTH];
-            for chunk in candidates.chunks(CHUNK) {
-                let mut b = k.block();
-                // candidate point loads (scattered gathers)
-                for warp in chunk.chunks(32) {
-                    for arr in 0..dim + 1 {
-                        for (l, &j) in warp.iter().enumerate() {
-                            addrs[l] = j as usize * T::BYTES + arr * 7919; // distinct arrays
-                        }
-                        b.warp_access(&addrs[..warp.len()]);
+            // candidate point loads (scattered gathers)
+            let mut addrs = [0usize; 32];
+            for warp in chunk.chunks(32) {
+                for arr in 0..dim + 1 {
+                    for (l, &j) in warp.iter().enumerate() {
+                        addrs[l] = j as usize * T::BYTES + arr * 7919; // distinct arrays
                     }
+                    b.warp_access(&addrs[..warp.len()]);
                 }
-                // every (cell, candidate) pair pays distance computation
-                // in all axes plus the in-range test (gpuNUFFT computes
-                // these per pair; no tensor-product factorization)
-                let checked = cells_per_sector as u64 * chunk.len() as u64;
-                b.flops(checked * 24);
-                // functional + accepted-pair accounting via footprints
-                let mut accepted = 0u64;
-                for &jr in chunk {
-                    let j = jr as usize;
-                    let prf = PtsRef {
-                        coords: [&pts.coords[0], &pts.coords[1], &pts.coords[2]],
-                        dim,
-                    };
-                    let fp = sector_clipped_footprint(&self.kernel, fine, &prf, j, o, dim);
-                    if let Some((cells, weights)) = fp {
-                        accepted += cells.len() as u64;
-                        let c = strengths[j];
-                        for (cell, wgt) in cells.iter().zip(weights.iter()) {
-                            grid[*cell] += c.scale(T::from_f64(*wgt));
-                            b.global_atomic(*cell);
-                            b.global_atomic(*cell);
-                        }
-                    }
-                }
-                // accepted pairs additionally pay per-axis LUT fetches
-                // and the complex multiply-accumulate
-                b.flops(accepted * 80);
-                // sector-region writes: contiguous rows of the sector
-                for c3 in 0..if dim >= 3 { SECTOR_WIDTH } else { 1 } {
-                    for c2 in 0..if dim >= 2 { SECTOR_WIDTH } else { 1 } {
-                        let base = (o[2] + c3) * n1 * n2 + (o[1] + c2) * n1 + o[0];
-                        b.stream_span(base * cb, SECTOR_WIDTH * cb, true);
-                    }
-                }
-                b.finish();
             }
-        }
-        let _ = n3;
+            // every (cell, candidate) pair pays distance computation
+            // in all axes plus the in-range test (gpuNUFFT computes
+            // these per pair; no tensor-product factorization)
+            let checked = cells_per_sector as u64 * chunk.len() as u64;
+            b.flops(checked * 24);
+            // functional + accepted-pair accounting via footprints
+            let mut accepted = 0u64;
+            let mut deltas: Vec<(usize, Complex<T>)> = Vec::new();
+            for &jr in &chunk {
+                let j = jr as usize;
+                let fp = sector_clipped_footprint(&self.kernel, fine, &prf, j, o, dim);
+                if let Some((cells, weights)) = fp {
+                    accepted += cells.len() as u64;
+                    let c = strengths[j];
+                    for (cell, wgt) in cells.iter().zip(weights.iter()) {
+                        deltas.push((*cell, c.scale(T::from_f64(*wgt))));
+                        b.global_atomic(*cell);
+                        b.global_atomic(*cell);
+                    }
+                }
+            }
+            // accepted pairs additionally pay per-axis LUT fetches
+            // and the complex multiply-accumulate
+            b.flops(accepted * 80);
+            // sector-region writes: contiguous rows of the sector
+            for c3 in 0..if dim >= 3 { SECTOR_WIDTH } else { 1 } {
+                for c2 in 0..if dim >= 2 { SECTOR_WIDTH } else { 1 } {
+                    let base = (o[2] + c3) * n1 * n2 + (o[1] + c2) * n1 + o[0];
+                    b.stream_span(base * cb, SECTOR_WIDTH * cb, true);
+                }
+            }
+            deltas
+        };
+        k.run_blocks(blocks.len(), body, |_bid, deltas| {
+            for (cell, d) in deltas {
+                grid[cell] += d;
+            }
+        });
         self.dev.launch_end(k);
         Ok(())
     }

@@ -128,6 +128,119 @@ fn gpunufft_3d_gather_matches_direct() {
     assert!(rel_l2(&out, &want) < 1e-2, "{}", rel_l2(&out, &want));
 }
 
+/// Run one gpuNUFFT type-1 transform with `threads` host workers and
+/// return its gridding launch as the bit patterns pinned below —
+/// duration, the seven `Breakdown` terms, L2 and DRAM bytes, flops,
+/// global atomics, hotspot count and blocks — plus the output.
+///
+/// The plan does not hand out its launch report, so the test reads it
+/// off the device: duration and terms from the timeline, the integer
+/// counts from trace counters, and the byte and flop totals recovered
+/// from their terms (`l2 = l2_bytes / l2_bw` and so on; the totals are
+/// integer-valued, so rounding recovers them exactly).
+fn gpunufft_adjoint_case<T: nufft_common::real::Real>(
+    dist: PointDist,
+    modes: &[usize],
+    m: usize,
+    threads: usize,
+) -> ([u64; 14], Vec<Complex<T>>) {
+    let dev = Device::v100();
+    dev.set_host_parallelism(threads);
+    let mut plan = GpunufftPlan::<T>::new(TransformType::Type1, modes, -1, 1e-3, &dev).unwrap();
+    let pts: Points<T> = gen_points(dist, modes.len(), m, plan.fine_grid_shape(), 17);
+    let cs = gen_strengths::<T>(m, 18);
+    plan.set_pts(&pts).unwrap();
+    let mut out = vec![Complex::<T>::ZERO; Shape::from_slice(modes).total()];
+    let trace = gpu_sim::Trace::new();
+    dev.attach_trace(&trace);
+    dev.clear_timeline();
+    plan.execute(&cs, &mut out).unwrap();
+    dev.detach_trace();
+    assert_eq!(trace.counter("gpu.kernel_launches").get(), 1);
+    let rec = dev
+        .timeline()
+        .into_iter()
+        .find(|r| r.name == "gpunufft_adjoint")
+        .expect("gridding launch recorded");
+    let (p, b) = (dev.props(), rec.breakdown);
+    let prec = if T::IS_DOUBLE {
+        gpu_sim::Precision::Double
+    } else {
+        gpu_sim::Precision::Single
+    };
+    let bits = [
+        rec.duration.to_bits(),
+        b.makespan.to_bits(),
+        b.l2.to_bits(),
+        b.dram.to_bits(),
+        b.compute.to_bits(),
+        b.atomic_hotspot.to_bits(),
+        b.atomic_ops.to_bits(),
+        b.overhead.to_bits(),
+        (b.l2 * p.l2_bw).round().to_bits(),
+        (b.dram * p.dram_bw).round().to_bits(),
+        (b.compute * p.flops(prec)).round().to_bits(),
+        trace.counter("gpu.global_atomics").get() as u64,
+        trace.gauge("gpu.atomic_hotspot_max").get() as u64,
+        trace.counter("gpu.blocks").get() as u64,
+    ];
+    (bits, out)
+}
+
+#[test]
+fn gpunufft_adjoint_launch_is_pinned_at_any_host_parallelism() {
+    let pin_2d_f32_cluster: [u64; 14] = [
+        0x3ef90bb19791caae,
+        0x3ef5e663296fae24,
+        0x3e66ce68205765d1,
+        0x3e53da2fe4712579,
+        0x3ebf076918d86ea9,
+        0x3ed477dc2f9645a8,
+        0x3e712e0be826d695,
+        0x3ec92a737110e454,
+        0x40f4be0000000000,
+        0x40d0400000000000,
+        0x4161490000000000,
+        19200,
+        1220,
+        18,
+    ];
+    let pin_3d_f64_rand: [u64; 14] = [
+        0x3f20dc213f36eb1b,
+        0x3f2077777172a78a,
+        0x3e900df9768386bc,
+        0x3e8bcff2d9646be1,
+        0x3ef3971e8e9a0071,
+        0x3e8353cd652bb168,
+        0x3e812e0be826d695,
+        0x3ec92a737110e454,
+        0x411d340000000000,
+        0x4106c40000000000,
+        0x4185d38000000000,
+        38400,
+        36,
+        12,
+    ];
+    let mut outs32 = Vec::new();
+    let mut outs64 = Vec::new();
+    for threads in [1, 4] {
+        let (bits, out) = gpunufft_adjoint_case::<f32>(PointDist::Cluster, &[24, 20], 600, threads);
+        assert_eq!(bits, pin_2d_f32_cluster, "threads={threads}");
+        outs32.push(out);
+        let (bits, out) = gpunufft_adjoint_case::<f64>(PointDist::Rand, &[8, 10, 6], 300, threads);
+        assert_eq!(bits, pin_3d_f64_rand, "threads={threads}");
+        outs64.push(out);
+    }
+    let bits32 = |v: &[Complex<f32>]| -> Vec<(u32, u32)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    };
+    let bits64 = |v: &[Complex<f64>]| -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    };
+    assert_eq!(bits32(&outs32[0]), bits32(&outs32[1]));
+    assert_eq!(bits64(&outs64[0]), bits64(&outs64[1]));
+}
+
 #[test]
 fn gpunufft_gather_agrees_with_cufinufft_structurally() {
     // same transform through the output-driven gather and cuFINUFFT must

@@ -274,10 +274,18 @@ fn infeasible_sm_falls_back_to_gm_sort_when_allowed() {
     };
     let mut plan = Plan::<f32>::builder(TransformType::Type1, &[N, N])
         .eps(1e-5)
-        .opts(opts)
+        .opts(opts.clone())
         .build(&dev)
         .expect("fallback should keep the plan viable");
     assert_eq!(plan.recovery_report().method_fallbacks, 1);
+    // the type-3 plan resolves its method at set_pts, through the same
+    // fallback
+    let mut t3 = cufinufft::GpuType3Plan::<f64>::new(2, 1, 1e-8, opts, &dev).unwrap();
+    t3.set_pts(&t3_points(2, 150, 2.0, 1), &t3_points(2, 120, 8.0, 2))
+        .expect("fallback should keep the type-3 plan viable");
+    assert_eq!(t3.recovery_report().method_fallbacks, 1);
+    assert!(t3.recovery_report().events[0].starts_with("method fallback to GM-sort: "));
+    assert_eq!(t3.spread_method(), Method::GmSort);
     let pts = gen_points::<f32>(PointDist::Rand, 2, M, plan.fine_grid_shape(), 7);
     plan.set_pts(&pts).unwrap();
     let c = gen_strengths::<f32>(M, 8);
