@@ -13,18 +13,21 @@
 //! launch can touch is `offset + Σ stride_i · (v_i mod n_i)` with known
 //! variable ranges.
 //!
-//! [`PlanGeometry::from_spec`] re-derives exactly the geometry
-//! `Plan::build_impl` would (kernel width from the tolerance, fine-grid
-//! sizes under the sizing policy — including Bluestein/prime shapes —
-//! Remark-1 bin sizes, Remark-2 method resolution), so the static
-//! checker explores the same launch configurations the library would
-//! actually run, without a device. [`plans_for`] then yields one plan
-//! per kernel the configuration can launch; `gpu-sim`'s checker passes
-//! ([`AccessPlan::check_all`]) and the trace-containment test
-//! ([`AccessPlan::contains_trace`]) do the rest.
+//! [`PlanGeometry`] is the one derivation of a plan's launch geometry
+//! (kernel width from the tolerance, fine-grid sizes under the sizing
+//! policy — including Bluestein/prime shapes — Remark-1 bin sizes,
+//! Remark-2 method resolution): `Plan` stores the value it derives at
+//! build time ([`Plan::geometry`](crate::Plan::geometry)), and
+//! [`PlanGeometry::from_spec`] runs the same derivation without a
+//! device, so the static checker explores exactly the launch
+//! configurations the library runs. [`plans_for`] then yields one plan
+//! per kernel the configuration can launch for a point count;
+//! `gpu-sim`'s checker passes ([`AccessPlan::check_all`]) and the
+//! trace-containment test ([`AccessPlan::contains_trace`]) do the rest.
 
 use crate::bins::BinLayout;
-use crate::opts::{default_bin_size, resolve_spread_method, Method, Tuning};
+use crate::opts::{default_bin_size, sm_tile, GpuOpts, Method, Tuning};
+use crate::recovery::{resolve_method_with_fallback, RecoveryReport};
 use gpu_sim::{AccessPlan, DimTerm, IndexExpr, Scope, ThreadMap};
 use nufft_common::hazard::AccessKind;
 use nufft_common::shape::Shape;
@@ -37,18 +40,15 @@ use nufft_kernels::EsKernel;
 /// in their kernels, unlike the GM paths which take it from [`Tuning`]).
 const SM_TPB: usize = 256;
 
-/// Everything about one reachable launch configuration that the
-/// symbolic plans depend on, derived from a [`TransformSpec`] + point
-/// count + [`Tuning`] exactly the way plan construction derives it.
-#[derive(Clone, Debug)]
+/// A plan's launch geometry: everything its kernels' launch
+/// configurations and symbolic plans depend on except the point count.
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlanGeometry {
     pub dim: usize,
-    /// Upsampled fine-grid shape under the spec's sizing policy.
+    /// Upsampled fine-grid shape under the sizing policy.
     pub fine: Shape,
-    /// Nonuniform point count the plans are instantiated for (≥ 1).
-    pub m: usize,
-    /// Kernel width for the spec's tolerance and precision.
-    pub w: usize,
+    /// Spreading kernel for the tolerance, precision and sigma.
+    pub kernel: EsKernel,
     /// Bin size clamped per-dimension to the fine grid (what
     /// [`BinLayout`] actually uses).
     pub bin_size: [usize; 3],
@@ -60,81 +60,102 @@ pub struct PlanGeometry {
     pub threads_per_block: usize,
     pub real_bytes: usize,
     pub complex_bytes: usize,
+    /// Remark-2 shared-memory budget per block: the tuning budget capped
+    /// by the device's limit.
+    pub shared_budget: usize,
     /// Resolved spreading method (never `Auto`).
     pub method: Method,
 }
 
 impl PlanGeometry {
-    /// Re-derive the launch geometry `Plan::build_impl` would produce
-    /// for this spec, point count, and tuning. `device_shared_cap` is
-    /// the device's shared-memory-per-block limit (the Remark-2 budget
-    /// is `tuning.shared_mem_budget.min(device_shared_cap)`, as at plan
-    /// build). Fails exactly where plan construction would: invalid
-    /// spec, tolerance outside the kernel table, explicit SM infeasible.
-    pub fn from_spec(
-        spec: &TransformSpec,
-        m: usize,
-        tuning: &Tuning,
+    /// Derive a plan's geometry, in this order: the kernel, the fine
+    /// grid, the bin size, and the Remark-2 method under the budget
+    /// `shared_mem_budget.min(device_shared_cap)`, resolved on the
+    /// unclamped bin size (with the SM fallback `opts.recovery` allows,
+    /// logged in `rec`).
+    pub(crate) fn derive(
+        modes: Shape,
+        eps: f64,
+        precision: Precision,
+        opts: &GpuOpts,
         device_shared_cap: usize,
+        rec: &mut RecoveryReport,
     ) -> Result<PlanGeometry> {
-        spec.validate()?;
-        let is_double = spec.precision == Precision::F64;
-        let real_bytes = spec.precision.bytes();
+        let tuning = &opts.tuning;
+        let real_bytes = precision.bytes();
         let complex_bytes = 2 * real_bytes;
-        let kernel = if (tuning.upsampfac - 2.0).abs() < 1e-12 {
-            EsKernel::for_tolerance(spec.eps, is_double)?
-        } else {
-            EsKernel::for_tolerance_sigma(spec.eps, tuning.upsampfac, is_double)?
-        };
-        let modes = Shape::from_slice(&spec.modes);
+        let kernel = EsKernel::for_upsampfac(eps, tuning.upsampfac, precision == Precision::F64)?;
         let fine =
-            modes.map(|_, n| fine_grid_size_with(n, tuning.upsampfac, kernel.w, spec.fine_sizing));
+            modes.map(|_, n| fine_grid_size_with(n, tuning.upsampfac, kernel.w, opts.fine_sizing));
         let dim = modes.dim;
         let bin_size = tuning.bin_size.unwrap_or_else(|| default_bin_size(dim));
-        let budget = tuning.shared_mem_budget.min(device_shared_cap);
-        let method =
-            resolve_spread_method(spec.method, bin_size, dim, kernel.w, complex_bytes, budget)?;
+        let shared_budget = tuning.shared_mem_budget.min(device_shared_cap);
+        let method = resolve_method_with_fallback(
+            opts,
+            shared_budget,
+            bin_size,
+            dim,
+            kernel.w,
+            complex_bytes,
+            rec,
+        )?;
         let layout = BinLayout::new(fine, bin_size);
         Ok(PlanGeometry {
             dim,
             fine,
-            m: m.max(1),
-            w: kernel.w,
+            kernel,
             bin_size: layout.bin_size,
             nbins: layout.total(),
             msub: tuning.msub.max(1),
             threads_per_block: tuning.threads_per_block.max(1),
             real_bytes,
             complex_bytes,
+            shared_budget,
             method,
         })
     }
 
-    /// Padded SM bin extents `(bin_i + 2 ceil(w/2))` (paper eq. 13) and
-    /// their cell count.
-    fn padded_bin(&self) -> ([usize; 3], usize) {
-        let pad = 2 * self.w.div_ceil(2);
-        let mut p = [1usize; 3];
-        for (pi, &bs) in p.iter_mut().zip(&self.bin_size).take(self.dim) {
-            *pi = bs + pad;
-        }
-        (p, p[0] * p[1] * p[2])
+    /// The geometry `Plan::from_spec` with this tuning would have on a
+    /// device whose blocks hold `device_shared_cap` bytes of shared
+    /// memory, derived without a device. Fails exactly where plan
+    /// construction would: invalid spec, tolerance outside the kernel
+    /// table, explicit SM infeasible.
+    pub fn from_spec(
+        spec: &TransformSpec,
+        tuning: &Tuning,
+        device_shared_cap: usize,
+    ) -> Result<PlanGeometry> {
+        spec.validate()?;
+        let opts = GpuOpts {
+            method: spec.method,
+            tuning: *tuning,
+            fine_sizing: spec.fine_sizing,
+            ..GpuOpts::default()
+        };
+        Self::derive(
+            Shape::from_slice(&spec.modes),
+            spec.eps,
+            spec.precision,
+            &opts,
+            device_shared_cap,
+            &mut RecoveryReport::default(),
+        )
     }
 
-    /// Number of SM subproblems, as a `[lo, hi]` range: at least
-    /// `ceil(m / msub)` (all points in one bin), at most `m` (every
-    /// subproblem holds at least one point). Distribution-dependent, so
-    /// the static model carries the whole range.
-    fn nsub_range(&self) -> (u64, u64) {
-        (self.m.div_ceil(self.msub) as u64, self.m as u64)
+    /// Number of SM subproblems for `m` points, as a `[lo, hi]` range:
+    /// at least `ceil(m / msub)` (all points in one bin), at most `m`
+    /// (every subproblem holds at least one point). Distribution-
+    /// dependent, so the static model carries the whole range.
+    fn nsub_range(&self, m: usize) -> (u64, u64) {
+        (m.div_ceil(self.msub) as u64, m as u64)
     }
 
     /// The point-coordinate read set shared by every kernel that
     /// gathers point data: element `j*4 + arr`, `j` over the points,
     /// `arr` over the coordinate arrays (x, y, z, c slots).
-    fn points_expr(&self) -> IndexExpr {
+    fn points_expr(&self, m: u64) -> IndexExpr {
         IndexExpr::new(0)
-            .dim(DimTerm::var(4, 0, self.m as i64 - 1))
+            .dim(DimTerm::var(4, 0, m as i64 - 1))
             .dim(DimTerm::var(1, 0, self.dim as i64 - 1))
     }
 
@@ -146,7 +167,7 @@ impl PlanGeometry {
     /// out-of-bounds negative control).
     fn fine_grid_expr(&self, wrap: bool) -> IndexExpr {
         let [n1, n2, n3] = self.fine.n.map(|n| n as i64);
-        let w = self.w as i64;
+        let w = self.kernel.w as i64;
         let mut e = IndexExpr::new(0).dim(DimTerm::var(1, 0, 1));
         let mut stride = 2i64;
         for (i, n) in [n1, n2, n3].into_iter().enumerate().take(self.dim) {
@@ -162,42 +183,43 @@ impl PlanGeometry {
     }
 }
 
-/// Every plan the configuration can launch, covering both transform
-/// directions: the bin-sort passes (all methods except GM), the
-/// resolved spread kernel, and the interp kernel (GM in user order,
-/// GM-sort when a permutation exists — SM spreading interpolates via
-/// GM-sort). Names match the dynamic kernel names exactly so traces can
-/// be paired with plans.
-pub fn plans_for(g: &PlanGeometry) -> Vec<AccessPlan> {
+/// Every plan the configuration can launch on `m` points (at least
+/// one), covering both transform directions: the bin-sort passes (all
+/// methods except GM), the resolved spread kernel, and the interp
+/// kernel (GM in user order, GM-sort when a permutation exists — SM
+/// spreading interpolates via GM-sort). Names match the dynamic kernel
+/// names exactly so traces can be paired with plans.
+pub fn plans_for(g: &PlanGeometry, m: usize) -> Vec<AccessPlan> {
+    let m = m.max(1);
     let mut plans = Vec::new();
     match g.method {
         Method::Gm => {
-            plans.push(spread_gm_plan(g, "spread_GM"));
-            plans.push(interp_plan(g, "interp_GM"));
+            plans.push(spread_gm_plan(g, m, "spread_GM"));
+            plans.push(interp_plan(g, m, "interp_GM"));
         }
         Method::GmSort => {
-            plans.extend(bin_sort_plans(g));
-            plans.push(spread_gm_plan(g, "spread_GM-sort"));
-            plans.push(interp_plan(g, "interp_GM-sort"));
+            plans.extend(bin_sort_plans(g, m));
+            plans.push(spread_gm_plan(g, m, "spread_GM-sort"));
+            plans.push(interp_plan(g, m, "interp_GM-sort"));
         }
         Method::Sm => {
-            plans.extend(bin_sort_plans(g));
-            plans.push(spread_sm_plan(g));
-            plans.push(interp_plan(g, "interp_GM-sort"));
+            plans.extend(bin_sort_plans(g, m));
+            plans.push(spread_sm_plan(g, m));
+            plans.push(interp_plan(g, m, "interp_GM-sort"));
         }
-        Method::Auto => unreachable!("PlanGeometry::from_spec resolves Auto"),
+        Method::Auto => unreachable!("PlanGeometry derivation resolves Auto"),
     }
     plans
 }
 
 /// GM spreading (paper Sec. III-B): one thread per point, `w^d` wrapped
 /// fine-grid cells per point, two global atomic words per cell.
-pub fn spread_gm_plan(g: &PlanGeometry, name: &str) -> AccessPlan {
-    let m = g.m as u64;
+pub fn spread_gm_plan(g: &PlanGeometry, npts: usize, name: &str) -> AccessPlan {
+    let m = npts as u64;
     let nf = g.fine.total() as u64;
-    let wd = (g.w as u64).pow(g.dim as u32);
+    let wd = (g.kernel.w as u64).pow(g.dim as u32);
     let tpb = g.threads_per_block;
-    let mut p = AccessPlan::new(name, tpb as u32, g.m.div_ceil(tpb) as u64);
+    let mut p = AccessPlan::new(name, tpb as u32, npts.div_ceil(tpb) as u64);
     let pts = p.buffer("points", Scope::Global, g.real_bytes, 4 * m);
     let stren = p.buffer("strengths", Scope::Global, g.complex_bytes, m);
     let grid = p.buffer("fine_grid", Scope::Global, g.complex_bytes / 2, 2 * nf);
@@ -208,7 +230,7 @@ pub fn spread_gm_plan(g: &PlanGeometry, name: &str) -> AccessPlan {
         pts,
         AccessKind::Read,
         0,
-        g.points_expr(),
+        g.points_expr(m),
         ThreadMap::Exclusive,
         ThreadMap::Exclusive,
         (md, md),
@@ -242,12 +264,13 @@ pub fn spread_gm_plan(g: &PlanGeometry, name: &str) -> AccessPlan {
 /// SM spreading (paper Fig. 1): one block per subproblem; zero-fill the
 /// padded shared bin, barrier, accumulate with shared atomics, barrier,
 /// flush each padded cell to the fine grid with global atomics.
-pub fn spread_sm_plan(g: &PlanGeometry) -> AccessPlan {
-    let m = g.m as u64;
+pub fn spread_sm_plan(g: &PlanGeometry, npts: usize) -> AccessPlan {
+    let m = npts as u64;
     let nf = g.fine.total() as u64;
-    let wd = (g.w as u64).pow(g.dim as u32);
-    let (pb, pc) = g.padded_bin();
-    let (nsub_lo, nsub_hi) = g.nsub_range();
+    let wd = (g.kernel.w as u64).pow(g.dim as u32);
+    let pb = sm_tile(g.bin_size, g.dim, g.kernel.w);
+    let pc: usize = pb.iter().product();
+    let (nsub_lo, nsub_hi) = g.nsub_range(npts);
     let pc64 = pc as u64;
     let mut p = AccessPlan::new("spread_SM", SM_TPB as u32, nsub_hi);
     p.shared_bytes = pc * g.complex_bytes;
@@ -273,7 +296,7 @@ pub fn spread_sm_plan(g: &PlanGeometry) -> AccessPlan {
         pts,
         AccessKind::Read,
         1,
-        g.points_expr(),
+        g.points_expr(m),
         ThreadMap::Exclusive,
         ThreadMap::Exclusive,
         (md, md),
@@ -313,7 +336,7 @@ pub fn spread_sm_plan(g: &PlanGeometry) -> AccessPlan {
     );
     // Padded-bin cell -> fine cell: per dimension the raw index is the
     // bin origin minus the halo, plus the local offset, wrapped mod n.
-    let half = g.w.div_ceil(2) as i64;
+    let half = g.kernel.w.div_ceil(2) as i64;
     let [n1, n2, n3] = g.fine.n.map(|n| n as i64);
     let mut flush = IndexExpr::new(0).dim(DimTerm::var(1, 0, 1));
     let mut stride = 2i64;
@@ -338,12 +361,12 @@ pub fn spread_sm_plan(g: &PlanGeometry) -> AccessPlan {
 
 /// GM interpolation (type 2): one thread per point, reads its wrapped
 /// footprint and writes its own output words — no atomics at all.
-pub fn interp_plan(g: &PlanGeometry, name: &str) -> AccessPlan {
-    let m = g.m as u64;
+pub fn interp_plan(g: &PlanGeometry, npts: usize, name: &str) -> AccessPlan {
+    let m = npts as u64;
     let nf = g.fine.total() as u64;
-    let wd = (g.w as u64).pow(g.dim as u32);
+    let wd = (g.kernel.w as u64).pow(g.dim as u32);
     let tpb = g.threads_per_block;
-    let mut p = AccessPlan::new(name, tpb as u32, g.m.div_ceil(tpb) as u64);
+    let mut p = AccessPlan::new(name, tpb as u32, npts.div_ceil(tpb) as u64);
     let pts = p.buffer("points", Scope::Global, g.real_bytes, 4 * m);
     let grid = p.buffer("fine_grid", Scope::Global, g.complex_bytes / 2, 2 * nf);
     let out = p.buffer("out", Scope::Global, g.complex_bytes / 2, 2 * m);
@@ -352,7 +375,7 @@ pub fn interp_plan(g: &PlanGeometry, name: &str) -> AccessPlan {
         pts,
         AccessKind::Read,
         0,
-        g.points_expr(),
+        g.points_expr(m),
         ThreadMap::Exclusive,
         ThreadMap::Exclusive,
         (md, md),
@@ -387,11 +410,11 @@ pub fn interp_plan(g: &PlanGeometry, name: &str) -> AccessPlan {
 /// The four bin-sort passes (paper Sec. III-A): bin index, histogram,
 /// exclusive scan, scatter. One thread per point (256 per block) except
 /// the scan, which runs in the single-threaded reference shape.
-pub fn bin_sort_plans(g: &PlanGeometry) -> Vec<AccessPlan> {
-    let m = g.m as u64;
+pub fn bin_sort_plans(g: &PlanGeometry, npts: usize) -> Vec<AccessPlan> {
+    let m = npts as u64;
     let nb = g.nbins as u64;
     let md = m * g.dim as u64;
-    let point_blocks = g.m.div_ceil(SM_TPB) as u64;
+    let point_blocks = npts.div_ceil(SM_TPB) as u64;
     let j_expr = || IndexExpr::new(0).dim(DimTerm::var(1, 0, m as i64 - 1));
     let bin_expr = || IndexExpr::new(0).dim(DimTerm::var(1, 0, nb as i64 - 1));
 
@@ -404,7 +427,7 @@ pub fn bin_sort_plans(g: &PlanGeometry) -> Vec<AccessPlan> {
         pts,
         AccessKind::Read,
         0,
-        g.points_expr(),
+        g.points_expr(m),
         ThreadMap::Exclusive,
         ThreadMap::Exclusive,
         (md, md),
@@ -513,8 +536,8 @@ pub fn bin_sort_plans(g: &PlanGeometry) -> Vec<AccessPlan> {
 /// checker's `spread_gm_racy` control: proof the verifier is not
 /// vacuously green.
 #[doc(hidden)]
-pub fn spread_gm_oob_plan(g: &PlanGeometry) -> AccessPlan {
-    let mut p = spread_gm_plan(g, "spread_GM_oob");
+pub fn spread_gm_oob_plan(g: &PlanGeometry, npts: usize) -> AccessPlan {
+    let mut p = spread_gm_plan(g, npts, "spread_GM_oob");
     let grid_term = p
         .terms
         .iter_mut()
@@ -529,8 +552,8 @@ pub fn spread_gm_oob_plan(g: &PlanGeometry) -> AccessPlan {
 /// under-declared-contract drift the static contract pass must flag
 /// (AP003).
 #[doc(hidden)]
-pub fn spread_gm_underdeclared_plan(g: &PlanGeometry) -> AccessPlan {
-    let mut p = spread_gm_plan(g, "spread_GM_underdeclared");
+pub fn spread_gm_underdeclared_plan(g: &PlanGeometry, npts: usize) -> AccessPlan {
+    let mut p = spread_gm_plan(g, npts, "spread_GM_underdeclared");
     p.contract.global_atomics = Some(0);
     p
 }
@@ -540,8 +563,8 @@ pub fn spread_gm_underdeclared_plan(g: &PlanGeometry) -> AccessPlan {
 /// pass must flag (AP002) just as the dynamic checker flags the traced
 /// variant.
 #[doc(hidden)]
-pub fn spread_gm_racy_plan(g: &PlanGeometry) -> AccessPlan {
-    let mut p = spread_gm_plan(g, "spread_GM_racy");
+pub fn spread_gm_racy_plan(g: &PlanGeometry, npts: usize) -> AccessPlan {
+    let mut p = spread_gm_plan(g, npts, "spread_GM_racy");
     let grid_term = p
         .terms
         .iter_mut()
@@ -557,21 +580,10 @@ mod tests {
     use super::*;
     use gpu_sim::DeviceProps;
 
-    fn geom(spec: &TransformSpec) -> PlanGeometry {
-        PlanGeometry::from_spec(spec, 1000, &Tuning::default(), 49_152).unwrap()
-    }
+    const M: usize = 1000;
 
-    #[test]
-    fn geometry_matches_plan_build() {
-        let spec = TransformSpec::type1(&[64, 64])
-            .eps(1e-5)
-            .precision(Precision::F32);
-        let g = geom(&spec);
-        assert_eq!(g.dim, 2);
-        assert_eq!(g.fine.n[0], 128);
-        assert_eq!(g.w, 6); // ceil(log10(1e5)) + 1
-        assert_eq!(g.bin_size, [32, 32, 1]);
-        assert_eq!(g.method, Method::Sm); // Auto resolves to SM in 2D f32
+    fn geom(spec: &TransformSpec) -> PlanGeometry {
+        PlanGeometry::from_spec(spec, &Tuning::default(), 49_152).unwrap()
     }
 
     #[test]
@@ -579,7 +591,7 @@ mod tests {
         let spec = TransformSpec::type1(&[32, 32, 32])
             .eps(1e-8)
             .method(nufft_common::spec::Method::Sm); // 3D f64 w=9: infeasible
-        assert!(PlanGeometry::from_spec(&spec, 100, &Tuning::default(), 49_152).is_err());
+        assert!(PlanGeometry::from_spec(&spec, &Tuning::default(), 49_152).is_err());
         // ...while Auto degrades to GM-sort
         let auto = TransformSpec::type1(&[32, 32, 32]).eps(1e-8);
         assert_eq!(geom(&auto).method, Method::GmSort);
@@ -598,7 +610,7 @@ mod tests {
                 .precision(Precision::F32)
                 .method(method);
             let g = geom(&spec);
-            for plan in plans_for(&g) {
+            for plan in plans_for(&g, M) {
                 let findings = plan.check_all(&props, 49_000);
                 assert!(
                     findings.iter().all(|f| !f.is_error()),
@@ -616,11 +628,11 @@ mod tests {
             .eps(1e-5)
             .precision(Precision::F32);
         let g = geom(&spec);
-        let oob = spread_gm_oob_plan(&g).check_bounds();
+        let oob = spread_gm_oob_plan(&g, M).check_bounds();
         assert!(oob.iter().any(|f| f.id == "AP001"), "{oob:?}");
-        let under = spread_gm_underdeclared_plan(&g).check_contract();
+        let under = spread_gm_underdeclared_plan(&g, M).check_contract();
         assert!(under.iter().any(|f| f.id == "AP003"), "{under:?}");
-        let racy = spread_gm_racy_plan(&g).check_races();
+        let racy = spread_gm_racy_plan(&g, M).check_races();
         assert!(racy.iter().any(|f| f.id == "AP002"), "{racy:?}");
     }
 
@@ -634,7 +646,7 @@ mod tests {
         let g = geom(&spec);
         assert_eq!(g.fine.n[0], 74); // exact 2x, not rounded to 5-smooth
         let props = DeviceProps::v100();
-        for plan in plans_for(&g) {
+        for plan in plans_for(&g, M) {
             let findings = plan.check_all(&props, 49_000);
             assert!(
                 findings.iter().all(|f| !f.is_error()),
@@ -652,10 +664,10 @@ mod tests {
             .precision(Precision::F32)
             .method(nufft_common::spec::Method::Sm);
         let g = geom(&spec);
-        let plan = spread_sm_plan(&g);
+        let plan = spread_sm_plan(&g, M);
         assert_eq!(
             plan.shared_bytes,
-            crate::opts::sm_shared_bytes(g.bin_size, g.dim, g.w, g.complex_bytes)
+            crate::opts::sm_shared_bytes(g.bin_size, g.dim, g.kernel.w, g.complex_bytes)
         );
     }
 }

@@ -5,6 +5,7 @@
 //! only effect of sorting is read coalescing; there is no SM variant
 //! (the paper argues its benefit would be limited).
 
+use crate::opts::sm_tile;
 use crate::spread::{footprint, Footprint, PtsRef, SpreadInputs, MAX_W};
 use gpu_sim::{Device, DeviceFault, LaunchConfig, LaunchReport, Precision, Scope};
 use nufft_common::complex::Complex;
@@ -151,7 +152,8 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
 /// block stages its padded bin into shared memory with coalesced global
 /// reads, then its points gather from shared. Compare against
 /// [`interp_gm`] with a bin-sorted order to reproduce the paper's
-/// design-decision evidence.
+/// design-decision evidence. Like [`crate::spread::spread_sm`], a padded
+/// bin larger than the device's shared memory is refused at launch.
 #[allow(clippy::too_many_arguments)]
 pub fn interp_sm<T: Real, K: Kernel1d>(
     dev: &Device,
@@ -173,20 +175,15 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
         Precision::Single
     };
     let w = kernel.width();
-    let pad = 2 * w.div_ceil(2);
     let dim = pts.dim;
-    let mut p = [1usize; 3];
-    for (pi, &bs) in p.iter_mut().zip(&layout.bin_size).take(dim) {
-        *pi = bs + pad;
-    }
-    let padded_cells = p[0] * p[1] * p[2];
-    let shared_bytes = (padded_cells * cb).min(dev.props().shared_mem_per_block);
+    let p = sm_tile(layout.bin_size, dim, w);
+    let padded_cells: usize = p.iter().product();
     let mut k = dev.kernel(
         "interp_SM",
-        LaunchConfig::new(prec, 256).with_shared(shared_bytes),
+        LaunchConfig::new(prec, 256).with_shared(padded_cells * cb),
     )?;
     let [n1, n2, n3] = fine.n;
-    let half = (pad / 2) as i64;
+    let half = w.div_ceil(2) as i64;
     // One thread block per subproblem; each point's value is written by
     // exactly one thread, so blocks return their (j, value) writes and
     // the ordered apply stores them (see `Kernel::run_blocks`).
@@ -482,14 +479,15 @@ mod tests {
 
     /// Interpolate one random grid at `m` points through GM-sort and SM
     /// with `threads` host workers; asserts the two agree exactly and
-    /// returns the SM launch report and output.
+    /// returns the SM launch report and output, or the SM launch's
+    /// refusal.
     fn sm_interp_case<T: Real>(
         dist: PointDist,
         fine: Shape,
         bins: [usize; 3],
         m: usize,
         threads: usize,
-    ) -> (LaunchReport, Vec<Complex<T>>) {
+    ) -> Result<(LaunchReport, Vec<Complex<T>>), DeviceFault> {
         use crate::bins::{build_subproblems, gpu_bin_sort};
         let dev = Device::v100();
         dev.set_host_parallelism(threads);
@@ -523,18 +521,25 @@ mod tests {
             &sort.layout,
             &subs,
             &mut b,
-        )
-        .unwrap();
+        )?;
         for j in 0..m {
             assert_eq!(a[j].re, b[j].re);
             assert_eq!(a[j].im, b[j].im);
         }
-        (r, b)
+        Ok((r, b))
     }
 
     #[test]
     fn sm_interp_matches_gm_interp_exactly() {
-        sm_interp_case::<f64>(PointDist::Rand, Shape::d2(128, 128), [32, 32, 1], 2000, 1);
+        sm_interp_case::<f64>(PointDist::Rand, Shape::d2(128, 128), [32, 32, 1], 2000, 1).unwrap();
+        // A 3D f64 w = 6 tile over 16x16x2 bins needs 22*22*8*16 =
+        // 61,952 B of shared memory, more than the device's 49,152 B:
+        // the launch is refused, not priced as if the tile fit.
+        let over =
+            sm_interp_case::<f64>(PointDist::Rand, Shape::d3(32, 24, 20), [16, 16, 2], 800, 1);
+        let fault = over.expect_err("over-limit SM tile refused");
+        assert_eq!(fault.kind, gpu_sim::FaultKind::KernelLaunch);
+        assert!(!fault.transient);
         // Launch prices pinned bit for bit; host workers must change
         // neither the price nor the output.
         let pin_2d_f32_cluster: [u64; 14] = [
@@ -553,21 +558,22 @@ mod tests {
             0,
             2,
         ];
+        // 8x8x2 bins: 14*14*8*16 = 25,088 B fits
         let pin_3d_f64_rand: [u64; 14] = [
-            0x3ee30e9b0a8bbfa4,
-            0x3ed987fc5c8f0d1d,
-            0x3eb59ccfaccc693c,
-            0x3e8bf70ad92e273f,
+            0x3ed78f16a94bed09,
+            0x3ec5f3b9e186f5be,
+            0x3eba19f035c4725f,
+            0x3e834795e53ca6da,
             0x3ea8d975cb382d3c,
             0,
             0,
             0x3ec92a737110e454,
-            0x4143a81000000000,
-            0x4106e40000000000,
+            0x4147bd3000000000,
+            0x40ff900000000000,
             0x413baf8000000000,
             0,
             0,
-            40,
+            120,
         ];
         let mut outs32 = Vec::new();
         let mut outs64 = Vec::new();
@@ -578,16 +584,18 @@ mod tests {
                 [32, 32, 1],
                 1500,
                 threads,
-            );
+            )
+            .unwrap();
             assert_eq!(report_bits(&r), pin_2d_f32_cluster, "threads={threads}");
             outs32.push(out);
             let (r, out) = sm_interp_case::<f64>(
                 PointDist::Rand,
                 Shape::d3(32, 24, 20),
-                [16, 16, 2],
+                [8, 8, 2],
                 800,
                 threads,
-            );
+            )
+            .unwrap();
             assert_eq!(report_bits(&r), pin_3d_f64_rand, "threads={threads}");
             outs64.push(out);
         }

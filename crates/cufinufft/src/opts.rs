@@ -176,15 +176,19 @@ pub fn default_bin_size(dim: usize) -> [usize; 3] {
     }
 }
 
-/// Shared-memory bytes needed by an SM subproblem: the padded bin
-/// `(m_i + 2 ceil(w/2))^d` in complex working precision (eq. 13).
+/// Extents of the padded bin an SM block stages in shared memory:
+/// `bin_i + 2 ceil(w/2)` in each of the `dim` used dimensions, 1 beyond
+/// (paper eq. 13).
+pub fn sm_tile(bin: [usize; 3], dim: usize, w: usize) -> [usize; 3] {
+    let mut p = bin.map(|b| b + 2 * w.div_ceil(2));
+    p[dim..].fill(1);
+    p
+}
+
+/// Shared-memory bytes needed by an SM subproblem: the [`sm_tile`] in
+/// complex working precision.
 pub fn sm_shared_bytes(bin: [usize; 3], dim: usize, w: usize, complex_bytes: usize) -> usize {
-    let pad = 2 * w.div_ceil(2);
-    let mut cells = 1usize;
-    for b in bin.iter().take(dim) {
-        cells *= b + pad;
-    }
-    cells * complex_bytes
+    sm_tile(bin, dim, w).iter().product::<usize>() * complex_bytes
 }
 
 /// The brownout downgrade for a spec's spreading method: SM (and

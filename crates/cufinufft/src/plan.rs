@@ -2,17 +2,18 @@
 //! GPU, mirroring `cufinufft_makeplan` / `cufinufft_setpts` /
 //! `cufinufft_execute` / `cufinufft_destroy` (destroy = `Drop`).
 
+use crate::access_plan::PlanGeometry;
 use crate::bins::{build_subproblems, gpu_bin_sort, GpuBinSort, Subproblem};
 use crate::interp::interp_batch;
-use crate::opts::{default_bin_size, GpuOpts, Method, ModeOrder, Tuning};
-use crate::recovery::{resolve_method_with_fallback, with_retry, RecoveryReport};
+use crate::opts::{GpuOpts, Method, ModeOrder, Tuning};
+use crate::recovery::{with_retry, RecoveryReport};
 use crate::spread::{spread_batch, PricedLaunches, PtsRef, SpreadInputs};
 use gpu_sim::{Device, GpuBuffer, HazardMode, HazardReport, Lane, Precision, Trace, TraceReport};
 use nufft_common::complex::Complex;
 use nufft_common::error::{NufftError, Result};
 use nufft_common::real::Real;
 use nufft_common::shape::{freq_to_bin, freqs, Shape};
-use nufft_common::smooth::{fine_grid_size_with, FineSizing};
+use nufft_common::smooth::FineSizing;
 use nufft_common::spec::{Precision as SpecPrecision, TransformSpec};
 use nufft_common::workload::Points;
 use nufft_common::TransformType;
@@ -175,17 +176,15 @@ impl<T: Real> PtsState<T> {
 pub struct Plan<T: Real> {
     ttype: TransformType,
     modes: Shape,
-    fine: Shape,
+    /// Launch geometry derived at build time: kernel, fine grid, bin
+    /// size, Remark-2 budget and resolved spreading method.
+    geom: PlanGeometry,
     iflag: i32,
-    kernel: EsKernel,
     /// Kernel evaluator the spread/interp hot paths run with: the exact
     /// ES kernel or its Horner/Chebyshev fast path, resolved once at
     /// plan time from `Tuning::kernel_eval` (see DESIGN.md §5l).
     eval_kernel: EvalKernel,
     opts: GpuOpts,
-    bin_size: [usize; 3],
-    /// Resolved spreading method for type 1.
-    spread_method: Method,
     /// Declared batch width (builder hint); `execute_many` accepts any
     /// width, but declaring it up front pre-sizes the batch grid.
     ntransf: usize,
@@ -257,14 +256,6 @@ impl<T: Real> PlanBuilder<T> {
             .method(spec.method)
             .modeord(spec.modeord)
             .fine_sizing(spec.fine_sizing))
-    }
-
-    /// [`from_spec`](Self::from_spec) with the spreading method
-    /// overridden — the replan hook the serve layer's brownout mode
-    /// uses to degrade a faulting spec (e.g. SM → GM-sort) without
-    /// mutating the caller's spec or the cache key it hashes to.
-    pub fn from_spec_with_method(spec: &TransformSpec, method: Method) -> Result<Self> {
-        Ok(Self::from_spec(spec)?.method(method))
     }
 
     fn new(ttype: TransformType, modes: &[usize]) -> Self {
@@ -424,7 +415,7 @@ impl<T: Real> PlanBuilder<T> {
             let chunk = plan.chunk_size(self.ntransf);
             let policy = plan.opts.recovery;
             let trace = plan.opts.trace.clone();
-            let nf = plan.fine.total();
+            let nf = plan.geom.fine.total();
             let t0 = dev.clock();
             let mut rec = std::mem::take(&mut plan.recovery);
             let res = with_retry(
@@ -499,35 +490,22 @@ impl<T: Real> Plan<T> {
         if modes.contains(&0) {
             return Err(NufftError::BadModes("zero-size mode dimension".into()));
         }
-        let kernel = if (opts.tuning.upsampfac - 2.0).abs() < 1e-12 {
-            EsKernel::for_tolerance(eps, T::IS_DOUBLE)?
-        } else {
-            EsKernel::for_tolerance_sigma(eps, opts.tuning.upsampfac, T::IS_DOUBLE)?
-        };
         let modes = Shape::from_slice(modes);
-        let fine = modes
-            .map(|_, n| fine_grid_size_with(n, opts.tuning.upsampfac, kernel.w, opts.fine_sizing));
-        let bin_size = opts
-            .tuning
-            .bin_size
-            .unwrap_or_else(|| default_bin_size(modes.dim));
+        let mut recovery = RecoveryReport::default();
+        let geom = PlanGeometry::derive(
+            modes,
+            eps,
+            SpecPrecision::of::<T>(),
+            &opts,
+            dev.props().shared_mem_per_block,
+            &mut recovery,
+        )?;
         // Resolve the kernel evaluator once: under Auto, fit the Horner
         // table and keep it iff the measured fit error spends at most 10%
         // of the plan's error budget (exact-exp fallback otherwise).
-        let eval_kernel = EvalKernel::select(kernel, eps, opts.tuning.kernel_eval);
-        let cb = std::mem::size_of::<Complex<T>>();
-        let mut recovery = RecoveryReport::default();
-        let spread_method = resolve_method_with_fallback(
-            &opts,
-            dev,
-            bin_size,
-            modes.dim,
-            kernel.w,
-            cb,
-            &mut recovery,
-        )?;
-        let corr = correction_rows(&kernel, modes, fine);
-        let fft = gpu_fft::GpuFftPlan::new(fine);
+        let eval_kernel = EvalKernel::select(geom.kernel, eps, opts.tuning.kernel_eval);
+        let corr = correction_rows(&geom.kernel, modes, geom.fine);
+        let fft = gpu_fft::GpuFftPlan::new(geom.fine);
         let policy = opts.recovery;
         let t0 = dev.clock();
         let d_grid = with_retry(
@@ -536,7 +514,7 @@ impl<T: Real> Plan<T> {
             trace.as_ref(),
             &mut recovery,
             "alloc:fine_grid",
-            || dev.alloc("fine_grid", fine.total()),
+            || dev.alloc("fine_grid", geom.fine.total()),
         )?;
         let d_in = with_retry(
             dev,
@@ -561,13 +539,10 @@ impl<T: Real> Plan<T> {
         Ok(Plan {
             ttype,
             modes,
-            fine,
+            geom,
             iflag: if iflag >= 0 { 1 } else { -1 },
-            kernel,
             eval_kernel,
             opts,
-            bin_size,
-            spread_method,
             ntransf: 1,
             dev: dev.clone(),
             fft,
@@ -606,12 +581,19 @@ impl<T: Real> Plan<T> {
         self.ttype
     }
 
+    /// The launch geometry derived at build time; equal to what
+    /// [`PlanGeometry::from_spec`] derives for the same spec, tuning and
+    /// device.
+    pub fn geometry(&self) -> &PlanGeometry {
+        &self.geom
+    }
+
     pub fn fine_grid_shape(&self) -> Shape {
-        self.fine
+        self.geom.fine
     }
 
     pub fn kernel(&self) -> &EsKernel {
-        &self.kernel
+        &self.geom.kernel
     }
 
     /// The kernel evaluator the hot paths run with (exact vs the fitted
@@ -622,7 +604,7 @@ impl<T: Real> Plan<T> {
 
     /// The spreading method actually in use for type-1 transforms.
     pub fn spread_method(&self) -> Method {
-        self.spread_method
+        self.geom.method
     }
 
     pub fn device(&self) -> &Device {
@@ -677,7 +659,7 @@ impl<T: Real> Plan<T> {
     /// trace report exposes per-stage quantiles split by spread method.
     fn stage_span(&self, name: &str, start: f64) {
         if let Some(t) = &self.opts.trace {
-            let method = method_tag(self.spread_method);
+            let method = method_tag(self.geom.method);
             let dur = self.dev.clock() - start;
             t.device_span(
                 Lane::Plan,
@@ -760,10 +742,10 @@ impl<T: Real> Plan<T> {
         let t2 = self.dev.clock();
         // GM works in user point order for both transform types; every
         // other method wants the bin sort
-        let needs_sort = self.spread_method != Method::Gm;
-        let sort = needs_sort.then(|| gpu_bin_sort(&self.dev, pts, self.fine, self.bin_size));
-        let subproblems = if self.ttype == TransformType::Type1 && self.spread_method == Method::Sm
-        {
+        let needs_sort = self.geom.method != Method::Gm;
+        let sort =
+            needs_sort.then(|| gpu_bin_sort(&self.dev, pts, self.geom.fine, self.geom.bin_size));
+        let subproblems = if self.ttype == TransformType::Type1 && self.geom.method == Method::Sm {
             build_subproblems(
                 &self.dev,
                 sort.as_ref().expect("SM requires sorting"),
@@ -841,7 +823,7 @@ impl<T: Real> Plan<T> {
                 "plan.execute",
                 &[
                     ("ttype", format!("{:?}", self.ttype)),
-                    ("method", format!("{:?}", self.spread_method)),
+                    ("method", format!("{:?}", self.geom.method)),
                 ],
             )
         });
@@ -981,9 +963,9 @@ impl<T: Real> Plan<T> {
                 got: strengths.len(),
             });
         }
-        if grid_out.len() != self.fine.total() {
+        if grid_out.len() != self.geom.fine.total() {
             return Err(NufftError::LengthMismatch {
-                expected: self.fine.total(),
+                expected: self.geom.fine.total(),
                 got: grid_out.len(),
             });
         }
@@ -1001,7 +983,7 @@ impl<T: Real> Plan<T> {
         })?;
         let t0 = self.dev.clock();
         let cb = std::mem::size_of::<Complex<T>>();
-        let nf = self.fine.total();
+        let nf = self.geom.fine.total();
         with_retry(&dev, &policy, trace.as_ref(), rec, "spread", || {
             // re-zero inside the retry body so a launch fault can be
             // retried without double-accumulating
@@ -1042,9 +1024,9 @@ impl<T: Real> Plan<T> {
             ));
         }
         let state = self.pts.as_ref().ok_or(NufftError::PointsNotSet)?;
-        if grid_in.len() != self.fine.total() {
+        if grid_in.len() != self.geom.fine.total() {
             return Err(NufftError::LengthMismatch {
-                expected: self.fine.total(),
+                expected: self.geom.fine.total(),
                 got: grid_in.len(),
             });
         }
@@ -1148,7 +1130,7 @@ impl<T: Real> Plan<T> {
         if let Some(c) = self.shrunk_chunk {
             chunk = chunk.min(c).max(1);
         }
-        let nf = self.fine.total();
+        let nf = self.geom.fine.total();
         let t0 = self.dev.clock();
         loop {
             match self.alloc_staging(chunk, in_per, out_per, nf, rec) {
@@ -1347,7 +1329,7 @@ impl<T: Real> Plan<T> {
     ) -> std::result::Result<(), gpu_sim::DeviceFault> {
         let state = self.pts.as_ref().expect("points checked");
         let cb = std::mem::size_of::<Complex<T>>();
-        let nf = self.fine.total();
+        let nf = self.geom.fine.total();
         let m = state.m;
         let n = self.modes.total();
         let t0 = self.dev.clock();
@@ -1359,8 +1341,8 @@ impl<T: Real> Plan<T> {
         spread_batch(
             &self.dev,
             &self.eval_kernel,
-            self.fine,
-            self.spread_method,
+            self.geom.fine,
+            self.geom.method,
             self.opts.tuning.threads_per_block,
             &state.inputs(),
             bc,
@@ -1379,7 +1361,7 @@ impl<T: Real> Plan<T> {
             deconv_type1(
                 &self.corr,
                 self.modes,
-                self.fine,
+                self.geom.fine,
                 self.opts.modeord,
                 &d_grid.as_slice()[v * nf..(v + 1) * nf],
                 &mut d_out.as_mut_slice()[v * n..(v + 1) * n],
@@ -1409,7 +1391,7 @@ impl<T: Real> Plan<T> {
     ) -> std::result::Result<(), gpu_sim::DeviceFault> {
         let state = self.pts.as_ref().expect("points checked");
         let cb = std::mem::size_of::<Complex<T>>();
-        let nf = self.fine.total();
+        let nf = self.geom.fine.total();
         let m = state.m;
         let n = self.modes.total();
         let t0 = self.dev.clock();
@@ -1422,7 +1404,7 @@ impl<T: Real> Plan<T> {
             deconv_type2(
                 &self.corr,
                 self.modes,
-                self.fine,
+                self.geom.fine,
                 self.opts.modeord,
                 &d_in.as_slice()[v * n..(v + 1) * n],
                 &mut d_grid.as_mut_slice()[v * nf..(v + 1) * nf],
@@ -1446,8 +1428,8 @@ impl<T: Real> Plan<T> {
         interp_batch(
             &self.dev,
             &self.eval_kernel,
-            self.fine,
-            self.spread_method,
+            self.geom.fine,
+            self.geom.method,
             self.opts.tuning.threads_per_block,
             &state.inputs(),
             bc,
@@ -1466,8 +1448,8 @@ impl<T: Real> Plan<T> {
         spread_batch(
             &self.dev,
             &self.eval_kernel,
-            self.fine,
-            self.spread_method,
+            self.geom.fine,
+            self.geom.method,
             self.opts.tuning.threads_per_block,
             &state.inputs(),
             1,
@@ -1487,7 +1469,7 @@ impl<T: Real> Plan<T> {
         self.dev.bulk_op(
             "memset_grid",
             0,
-            self.fine.total() * cb,
+            self.geom.fine.total() * cb,
             0.0,
             Self::precision(),
         );
@@ -1508,7 +1490,7 @@ impl<T: Real> Plan<T> {
         deconv_type1(
             &self.corr,
             self.modes,
-            self.fine,
+            self.geom.fine,
             self.opts.modeord,
             self.d_grid.as_slice(),
             self.d_out.as_mut_slice(),
@@ -1536,14 +1518,14 @@ impl<T: Real> Plan<T> {
         self.dev.bulk_op(
             "memset_grid",
             0,
-            self.fine.total() * cb,
+            self.geom.fine.total() * cb,
             0.0,
             Self::precision(),
         );
         deconv_type2(
             &self.corr,
             self.modes,
-            self.fine,
+            self.geom.fine,
             self.opts.modeord,
             self.d_in.as_slice(),
             self.d_grid.as_mut_slice(),
@@ -1580,8 +1562,8 @@ impl<T: Real> Plan<T> {
         interp_batch(
             &self.dev,
             &self.eval_kernel,
-            self.fine,
-            self.spread_method,
+            self.geom.fine,
+            self.geom.method,
             self.opts.tuning.threads_per_block,
             &state.inputs(),
             1,

@@ -112,24 +112,20 @@ impl RecoveryReport {
     }
 }
 
-/// Resolve the spreading method of a plan with kernel width `w` (see
-/// [`resolve_spread_method`]). An explicit SM request that does not fit
-/// the shared-memory budget degrades to GM-sort, the method `Auto` would
-/// use, when the policy allows it; the fallback is logged in `rec` and
-/// counted as `recovery.fallbacks`.
+/// Resolve the spreading method of a plan with kernel width `w` under
+/// the Remark-2 shared-memory `budget` (see [`resolve_spread_method`]).
+/// An explicit SM request that does not fit degrades to GM-sort, the
+/// method `Auto` would use, when the policy allows it; the fallback is
+/// logged in `rec` and counted as `recovery.fallbacks`.
 pub(crate) fn resolve_method_with_fallback(
     opts: &GpuOpts,
-    dev: &Device,
+    budget: usize,
     bin_size: [usize; 3],
     dim: usize,
     w: usize,
     complex_bytes: usize,
     rec: &mut RecoveryReport,
 ) -> Result<Method> {
-    let budget = opts
-        .tuning
-        .shared_mem_budget
-        .min(dev.props().shared_mem_per_block);
     match resolve_spread_method(opts.method, bin_size, dim, w, complex_bytes, budget) {
         Err(e @ NufftError::MethodUnavailable(_)) if opts.recovery.allow_method_fallback => {
             rec.method_fallbacks += 1;

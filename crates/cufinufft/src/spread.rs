@@ -14,7 +14,7 @@
 //!   load balance.
 
 use crate::bins::{BinLayout, Subproblem};
-use crate::opts::Method;
+use crate::opts::{sm_tile, Method};
 use gpu_sim::{Device, DeviceFault, LaunchConfig, LaunchReport, Precision, Scope};
 use nufft_common::complex::Complex;
 use nufft_common::real::Real;
@@ -394,7 +394,9 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
 
 /// SM spreading (paper Fig. 1): one thread block per subproblem, local
 /// accumulation in a shared-memory padded bin, then one global atomic add
-/// per padded-bin cell.
+/// per padded-bin cell. A padded bin larger than the device's shared
+/// memory per block is refused by the launch (a persistent
+/// `KernelLaunch` fault); plans run SM only after the Remark-2 check.
 #[allow(clippy::too_many_arguments)]
 pub fn spread_sm<T: Real, K: Kernel1d>(
     dev: &Device,
@@ -411,19 +413,12 @@ pub fn spread_sm<T: Real, K: Kernel1d>(
     let cb = std::mem::size_of::<Complex<T>>();
     let prec = precision::<T>();
     let w = kernel.width();
-    let pad = 2 * w.div_ceil(2);
     let dim = pts.dim;
-    // padded bin extents (eq. 13)
-    let mut p = [1usize; 3];
-    for (pi, &bs) in p.iter_mut().zip(&layout.bin_size).take(dim) {
-        *pi = bs + pad;
-    }
-    let padded_cells = p[0] * p[1] * p[2];
-    let shared_bytes = padded_cells * cb;
+    let p = sm_tile(layout.bin_size, dim, w);
+    let padded_cells: usize = p.iter().product();
     let mut k = dev.kernel(
         "spread_SM",
-        LaunchConfig::new(prec, 256)
-            .with_shared(shared_bytes.min(dev.props().shared_mem_per_block)),
+        LaunchConfig::new(prec, 256).with_shared(padded_cells * cb),
     )?;
     k.atomic_region(fine.total(), cb);
     // traced buffers (no-ops unless the device is in hazard mode); the
@@ -435,7 +430,7 @@ pub fn spread_sm<T: Real, K: Kernel1d>(
     let tb_grid = k.trace_buffer("fine_grid", Scope::Global, cb / 2);
     let tpb = 256u32; // threads per block, for trace thread ids
     let [n1, n2, n3] = fine.n;
-    let half = (pad / 2) as i64;
+    let half = w.div_ceil(2) as i64;
     let pts = *pts;
     // One subproblem per thread block, run on the host pool; grid updates
     // come back as an ordered delta list per block (see `spread_gm_impl`).
@@ -816,23 +811,29 @@ mod tests {
         for dist in [PointDist::Rand, PointDist::Cluster] {
             let pts = gen_points::<f64>(dist, 3, 2000, fine, 7);
             let cs = gen_strengths::<f64>(2000, 8);
-            let sort = gpu_bin_sort(&dev, &pts, fine, [16, 16, 2]);
-            let subs = build_subproblems(&dev, &sort, 256);
-            let mut grid = vec![Complex::<f64>::ZERO; fine.total()];
-            spread_sm(
-                &dev,
-                &kernel,
-                fine,
-                &pts_ref(&pts),
-                &cs,
-                &sort.perm,
-                &sort.layout,
-                &subs,
-                &mut grid,
-            )
-            .unwrap();
-            let want = reference(&kernel, fine, &pts, &cs);
-            assert!(rel_l2(&grid, &want) < 1e-13, "{dist:?}");
+            // f64 tiles over 16x16x2 bins need 22*22*8*16 = 61,952 B of
+            // shared memory, past the device limit: refused. 8x8x2 fits.
+            for (bins, fits) in [([16, 16, 2], false), ([8, 8, 2], true)] {
+                let sort = gpu_bin_sort(&dev, &pts, fine, bins);
+                let subs = build_subproblems(&dev, &sort, 256);
+                let mut grid = vec![Complex::<f64>::ZERO; fine.total()];
+                let r = spread_sm(
+                    &dev,
+                    &kernel,
+                    fine,
+                    &pts_ref(&pts),
+                    &cs,
+                    &sort.perm,
+                    &sort.layout,
+                    &subs,
+                    &mut grid,
+                );
+                assert_eq!(r.is_ok(), fits, "{bins:?}");
+                if fits {
+                    let want = reference(&kernel, fine, &pts, &cs);
+                    assert!(rel_l2(&grid, &want) < 1e-13, "{dist:?}");
+                }
+            }
         }
     }
 

@@ -33,6 +33,8 @@ pub struct GpuType3Plan<T: Real> {
     opts: GpuOpts,
     dev: Device,
     nf: Shape,
+    /// Bin size for sorting and SM subproblems.
+    bin_size: [usize; 3],
     spread_method: Method,
     /// Rescaled sources on the device.
     d_x: Option<[GpuBuffer<T>; 3]>,
@@ -52,6 +54,7 @@ impl<T: Real> GpuType3Plan<T> {
             return Err(NufftError::BadDim(dim));
         }
         let kernel = EsKernel::for_tolerance(eps, T::IS_DOUBLE)?;
+        let bin_size = opts.tuning.bin_size.unwrap_or(default_bin_size(dim));
         Ok(GpuType3Plan {
             dim,
             iflag: if iflag >= 0 { 1 } else { -1 },
@@ -60,6 +63,7 @@ impl<T: Real> GpuType3Plan<T> {
             opts,
             dev: dev.clone(),
             nf: Shape::from_slice(&vec![1; dim]),
+            bin_size,
             spread_method: Method::Auto,
             d_x: None,
             xp_host: None,
@@ -137,15 +141,13 @@ impl<T: Real> GpuType3Plan<T> {
         }
         let nf = Shape::from_slice(&nfs);
         let cb = std::mem::size_of::<Complex<T>>();
-        let bin_size = self
-            .opts
-            .tuning
-            .bin_size
-            .unwrap_or_else(|| default_bin_size(self.dim));
         let spread_method = resolve_method_with_fallback(
             &self.opts,
-            &self.dev,
-            bin_size,
+            self.opts
+                .tuning
+                .shared_mem_budget
+                .min(self.dev.props().shared_mem_per_block),
+            self.bin_size,
             self.dim,
             w,
             cb,
@@ -295,14 +297,9 @@ impl<T: Real> GpuType3Plan<T> {
             coords: [bufs[0].as_slice(), bufs[1].as_slice(), bufs[2].as_slice()],
             dim: self.dim,
         };
-        let bin_size = self
-            .opts
-            .tuning
-            .bin_size
-            .unwrap_or_else(|| default_bin_size(self.dim));
         match self.spread_method {
             Method::Sm => {
-                let sort = gpu_bin_sort(&self.dev, xp, nf, bin_size);
+                let sort = gpu_bin_sort(&self.dev, xp, nf, self.bin_size);
                 let subs = build_subproblems(&self.dev, &sort, self.opts.tuning.msub);
                 with_retry(
                     &dev,
@@ -326,7 +323,7 @@ impl<T: Real> GpuType3Plan<T> {
                 )?;
             }
             Method::GmSort => {
-                let sort = gpu_bin_sort(&self.dev, xp, nf, bin_size);
+                let sort = gpu_bin_sort(&self.dev, xp, nf, self.bin_size);
                 with_retry(
                     &dev,
                     &policy,

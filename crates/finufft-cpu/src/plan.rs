@@ -89,11 +89,7 @@ impl<T: Real> Plan<T, EsKernel> {
         eps: f64,
         opts: Opts,
     ) -> Result<Self> {
-        let kernel = if (opts.upsampfac - 2.0).abs() < 1e-12 {
-            EsKernel::for_tolerance(eps, T::IS_DOUBLE)?
-        } else {
-            EsKernel::for_tolerance_sigma(eps, opts.upsampfac, T::IS_DOUBLE)?
-        };
+        let kernel = EsKernel::for_upsampfac(eps, opts.upsampfac, T::IS_DOUBLE)?;
         Self::with_kernel(ttype, modes, iflag, kernel, opts)
     }
 }
@@ -110,11 +106,7 @@ impl<T: Real> Plan<T, EvalKernel> {
         eps: f64,
         opts: Opts,
     ) -> Result<Self> {
-        let es = if (opts.upsampfac - 2.0).abs() < 1e-12 {
-            EsKernel::for_tolerance(eps, T::IS_DOUBLE)?
-        } else {
-            EsKernel::for_tolerance_sigma(eps, opts.upsampfac, T::IS_DOUBLE)?
-        };
+        let es = EsKernel::for_upsampfac(eps, opts.upsampfac, T::IS_DOUBLE)?;
         let kernel = EvalKernel::select(es, eps, opts.kernel_eval);
         Self::with_kernel(ttype, modes, iflag, kernel, opts)
     }

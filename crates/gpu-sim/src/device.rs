@@ -549,14 +549,18 @@ impl Device {
     /// Begin a detailed kernel launch (warp-level accounting). An
     /// injected launch fault fires here — before any functional work —
     /// mirroring `cudaLaunchKernel` failure semantics, so a retry after
-    /// an error observes unmodified device memory.
+    /// an error observes unmodified device memory. A launch asking for
+    /// more shared memory per block than the device has is refused the
+    /// same way, as a persistent `KernelLaunch` fault that is not an
+    /// injected one (it never consults the fault plan).
     pub fn kernel(&self, name: &str, cfg: LaunchConfig) -> Result<Kernel, DeviceFault> {
-        assert!(
-            cfg.shared_bytes_per_block <= self.inner.props.shared_mem_per_block,
-            "kernel '{name}' requests {} B shared memory; device limit is {} B",
-            cfg.shared_bytes_per_block,
-            self.inner.props.shared_mem_per_block
-        );
+        if cfg.shared_bytes_per_block > self.inner.props.shared_mem_per_block {
+            return Err(DeviceFault {
+                op: name.to_string(),
+                kind: FaultKind::KernelLaunch,
+                transient: false,
+            });
+        }
         let mk = || {
             let mut k = Kernel::new(name, cfg, self.inner.props.clone());
             if self.hazard_checking() {
@@ -850,11 +854,29 @@ mod tests {
     #[test]
     fn shared_memory_request_validated() {
         let dev = Device::v100();
-        let too_big = LaunchConfig::new(Precision::Single, 128)
-            .with_shared(dev.props().shared_mem_per_block + 1);
-        let res =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dev.kernel("bad", too_big)));
-        assert!(res.is_err());
+        dev.inject_faults(crate::faults::FaultPlan::new(0).fail_kernel("k", FaultMode::Once));
+        let limit = dev.props().shared_mem_per_block;
+        let cfg = |bytes| LaunchConfig::new(Precision::Single, 128).with_shared(bytes);
+        let Err(err) = dev.kernel("k", cfg(limit + 1)) else {
+            panic!("over-limit launch accepted");
+        };
+        assert_eq!(
+            err,
+            DeviceFault {
+                op: "k".into(),
+                kind: FaultKind::KernelLaunch,
+                transient: false,
+            }
+        );
+        // a refusal, not an injected fault: the one-shot injection is
+        // still armed and fires on the next launch that fits
+        assert_eq!(dev.faults_injected(), 0);
+        let Err(injected) = dev.kernel("k", cfg(limit)) else {
+            panic!("injected fault did not fire");
+        };
+        assert!(injected.transient);
+        assert_eq!(dev.faults_injected(), 1);
+        assert!(dev.kernel("k", cfg(limit)).is_ok());
     }
 
     #[test]

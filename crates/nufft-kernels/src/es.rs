@@ -112,6 +112,18 @@ impl EsKernel {
         Ok(EsKernel { w, beta })
     }
 
+    /// The kernel a plan with upsampling factor `sigma` uses: the paper's
+    /// rule ([`EsKernel::for_tolerance`]) at sigma = 2, the generalized
+    /// one ([`EsKernel::for_tolerance_sigma`]) elsewhere. They are not
+    /// merged: at sigma = 2 they give different `beta`.
+    pub fn for_upsampfac(eps: f64, sigma: f64, is_double: bool) -> Result<Self> {
+        if (sigma - 2.0).abs() < 1e-12 {
+            Self::for_tolerance(eps, is_double)
+        } else {
+            Self::for_tolerance_sigma(eps, sigma, is_double)
+        }
+    }
+
     /// Evaluate `phi_beta(z)`; zero outside `[-1, 1]`.
     #[inline]
     pub fn eval(&self, z: f64) -> f64 {
@@ -308,6 +320,16 @@ mod tests {
         // widths agree within one grid point; beta within a few percent
         assert!((k2.w as i64 - kp.w as i64).abs() <= 1);
         assert!((k2.beta / k2.w as f64 - 2.30).abs() < 0.05);
+    }
+
+    #[test]
+    fn for_upsampfac_keeps_each_rule_at_its_sigma() {
+        for eps in [1e-2, 1e-6, 1e-9, 1e-15] {
+            let paper = EsKernel::for_tolerance(eps, true);
+            assert_eq!(EsKernel::for_upsampfac(eps, 2.0, true), paper);
+            let general = EsKernel::for_tolerance_sigma(eps, 1.25, true);
+            assert_eq!(EsKernel::for_upsampfac(eps, 1.25, true), general);
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   launch configuration reachable from a [`TransformSpec`] matrix
 //!   (grid sizes including Bluestein/prime fine-grid shapes, the eps
 //!   ladder, bin / `M_sub` sweeps, both precisions, all spreading
-//!   methods), derives the launch geometry exactly as plan construction
-//!   would ([`cufinufft::access_plan::PlanGeometry`]), and runs the
+//!   methods), derives the launch geometry with plan construction's own
+//!   derivation ([`cufinufft::access_plan::PlanGeometry`]), and runs the
 //!   execution-free checker passes from `gpu_sim::access_plan` over each
 //!   kernel's symbolic plan: interval bounds (AP001), static race
 //!   classes (AP002), contract atomic cross-validation (AP003), and
@@ -129,8 +129,7 @@ pub fn lint_access_plans(full: bool, trace: Option<&Trace>) -> LintReport {
     let props = DeviceProps::v100();
     let mut report = LintReport::default();
     for cell in spec_matrix(full) {
-        let geom =
-            PlanGeometry::from_spec(&cell.spec, cell.m, &cell.tuning, props.shared_mem_per_block);
+        let geom = PlanGeometry::from_spec(&cell.spec, &cell.tuning, props.shared_mem_per_block);
         let geom = match geom {
             Ok(g) => g,
             Err(_) => {
@@ -141,14 +140,10 @@ pub fn lint_access_plans(full: bool, trace: Option<&Trace>) -> LintReport {
             }
         };
         report.configs_checked += 1;
-        let budget = cell
-            .tuning
-            .shared_mem_budget
-            .min(props.shared_mem_per_block);
         let ctx = format!("{} m={}", cell.spec.label(), cell.m);
-        for plan in plans_for(&geom) {
+        for plan in plans_for(&geom, cell.m) {
             report.plans_checked += 1;
-            for finding in plan.check_all(&props, budget) {
+            for finding in plan.check_all(&props, geom.shared_budget) {
                 report.findings.push(finding.with_context(&ctx));
             }
         }

@@ -6,10 +6,14 @@
 //! * **negative controls** — a deliberately out-of-bounds footprint and
 //!   an under-declared-atomics contract are both flagged statically,
 //!   with their stable finding ids;
+//! * **one geometry** — over the quick matrix, a built plan's
+//!   `geometry()` equals the device-free `PlanGeometry::from_spec`, and
+//!   the two refuse the same cells with the same error;
 //! * **static refines dynamic** — replay real `HazardMode::Check`
 //!   kernel traces from full plan lifecycles (type 1 + type 2) and
-//!   assert every recorded access is contained in the static plan's
-//!   predicted set, across GM / GM-sort / SM × 2D / 3D × precisions.
+//!   assert every recorded access is contained in the static plans
+//!   derived from those very plans' geometries, across GM / GM-sort /
+//!   SM × 2D / 3D × precisions.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +26,7 @@ use nufft_common::real::Real;
 use nufft_common::spec::{Precision, TransformSpec};
 use nufft_common::workload::{gen_points, gen_strengths, PointDist};
 use nufft_common::{Complex, TransformType};
-use nufft_lint::lint_access_plans;
+use nufft_lint::{lint_access_plans, spec_matrix};
 use nufft_trace::Trace;
 
 #[test]
@@ -52,31 +56,70 @@ fn negative_controls_are_flagged_through_the_full_checker() {
         .eps(1e-5)
         .precision(Precision::F32);
     let props = DeviceProps::v100();
-    let g = PlanGeometry::from_spec(&spec, 2000, &Tuning::default(), props.shared_mem_per_block)
+    let g = PlanGeometry::from_spec(&spec, &Tuning::default(), props.shared_mem_per_block)
         .expect("geometry");
-    let budget = Tuning::default()
-        .shared_mem_budget
-        .min(props.shared_mem_per_block);
+    let budget = g.shared_budget;
 
-    let oob = spread_gm_oob_plan(&g).check_all(&props, budget);
+    let oob = spread_gm_oob_plan(&g, 2000).check_all(&props, budget);
     assert!(oob.iter().any(|f| f.id == "AP001"), "{oob:?}");
 
-    let under = spread_gm_underdeclared_plan(&g).check_all(&props, budget);
+    let under = spread_gm_underdeclared_plan(&g, 2000).check_all(&props, budget);
     assert!(under.iter().any(|f| f.id == "AP003"), "{under:?}");
 
-    let racy = spread_gm_racy_plan(&g).check_all(&props, budget);
+    let racy = spread_gm_racy_plan(&g, 2000).check_all(&props, budget);
     assert!(racy.iter().any(|f| f.id == "AP002"), "{racy:?}");
 }
 
+/// Build every quick-matrix cell both ways: a plan that builds carries
+/// exactly the geometry the device-free derivation gives, and a cell
+/// the library refuses is refused by both with the same error.
+#[test]
+fn plan_geometry_equals_static_geometry_over_quick_matrix() {
+    fn check<T: Real>(spec: &TransformSpec, dev: &Device) -> bool {
+        let cap = dev.props().shared_mem_per_block;
+        let stat = PlanGeometry::from_spec(spec, &Tuning::default(), cap);
+        match (Plan::<T>::from_spec(spec, dev), stat) {
+            (Ok(plan), Ok(g)) => {
+                assert_eq!(plan.geometry(), &g, "{}", spec.label());
+                true
+            }
+            (Err(e), Err(se)) => {
+                assert_eq!(e, se, "{}", spec.label());
+                false
+            }
+            (p, g) => panic!("{}: plan {:?} vs static {:?}", spec.label(), p.err(), g),
+        }
+    }
+    let dev = Device::v100();
+    let (mut built, mut refused) = (0, 0);
+    for cell in spec_matrix(false) {
+        assert_eq!(cell.tuning, Tuning::default());
+        let ok = match cell.spec.precision {
+            Precision::F32 => check::<f32>(&cell.spec, &dev),
+            Precision::F64 => check::<f64>(&cell.spec, &dev),
+        };
+        if ok {
+            built += 1;
+        } else {
+            refused += 1;
+        }
+    }
+    assert!(built > 0 && refused > 0, "built {built}, refused {refused}");
+}
+
 /// Run a full checked plan lifecycle (type 1 spread + type 2 interp) on
-/// one device and return every retained kernel access trace.
+/// one device and return every retained kernel access trace, with the
+/// static plans of both plans' own geometries keyed by kernel name
+/// (type-1 and type-2 geometries agree wherever a kernel name repeats,
+/// so one plan per name suffices).
 fn traced_lifecycle<T: Real>(
     modes: &[usize],
     method: Method,
     m: usize,
-) -> Vec<gpu_sim::KernelTrace> {
+) -> (Vec<gpu_sim::KernelTrace>, BTreeMap<String, AccessPlan>) {
     let dev = Device::v100();
     dev.retain_access_traces(true);
+    let mut plans = BTreeMap::new();
     for (ttype, seed) in [(TransformType::Type1, 31), (TransformType::Type2, 32)] {
         let mut plan = Plan::<T>::builder(ttype, modes)
             .eps(1e-5)
@@ -84,6 +127,9 @@ fn traced_lifecycle<T: Real>(
             .hazard(HazardMode::Check)
             .build(&dev)
             .expect("plan build");
+        for p in plans_for(plan.geometry(), m) {
+            plans.insert(p.kernel.clone(), p);
+        }
         let dim = modes.len();
         let pts = gen_points::<T>(PointDist::Rand, dim, m, plan.fine_grid_shape(), seed);
         plan.set_pts(&pts).expect("set_pts");
@@ -102,44 +148,8 @@ fn traced_lifecycle<T: Real>(
         }
     }
     assert!(dev.hazard_findings().is_clean(), "dynamic hazards present");
-    dev.take_access_traces()
-        .into_iter()
-        .map(|(t, _)| t)
-        .collect()
-}
-
-/// Static plans for both transform types of one configuration, keyed by
-/// kernel name (type-1 and type-2 geometries agree wherever a kernel
-/// name repeats, so one plan per name suffices).
-fn static_plans<T: Real>(
-    modes: &[usize],
-    method: Method,
-    m: usize,
-) -> BTreeMap<String, AccessPlan> {
-    let props = DeviceProps::v100();
-    let precision = if T::IS_DOUBLE {
-        Precision::F64
-    } else {
-        Precision::F32
-    };
-    let mut plans = BTreeMap::new();
-    for spec in [
-        TransformSpec::type1(modes)
-            .eps(1e-5)
-            .precision(precision)
-            .method(method),
-        TransformSpec::type2(modes)
-            .eps(1e-5)
-            .precision(precision)
-            .method(method),
-    ] {
-        let g = PlanGeometry::from_spec(&spec, m, &Tuning::default(), props.shared_mem_per_block)
-            .expect("geometry");
-        for plan in plans_for(&g) {
-            plans.insert(plan.kernel.clone(), plan);
-        }
-    }
-    plans
+    let traces = dev.take_access_traces();
+    (traces.into_iter().map(|(t, _)| t).collect(), plans)
 }
 
 /// The cross-validation harness: every dynamic access recorded during a
@@ -151,9 +161,8 @@ fn assert_static_refines_dynamic<T: Real>(
     m: usize,
     expect_kernels: &[&str],
 ) {
-    let traces = traced_lifecycle::<T>(modes, method, m);
+    let (traces, plans) = traced_lifecycle::<T>(modes, method, m);
     assert!(!traces.is_empty(), "no kernel traces retained");
-    let plans = static_plans::<T>(modes, method, m);
     let mut covered = Vec::new();
     for trace in &traces {
         let Some(plan) = plans.get(trace.name()) else {
@@ -231,14 +240,8 @@ fn prime_grid_lifecycles_stay_inside_static_plans() {
     use nufft_common::smooth::FineSizing;
     // Bluestein-path fine grids (FineSizing::Exact on a prime size)
     // produce awkward strides; the static plans must still contain them.
-    let props = DeviceProps::v100();
     let dev = Device::v100();
     dev.retain_access_traces(true);
-    let spec = TransformSpec::type1(&[37, 16])
-        .eps(1e-5)
-        .precision(Precision::F32)
-        .method(Method::GmSort)
-        .fine_sizing(FineSizing::Exact);
     let mut plan = Plan::<f32>::builder(TransformType::Type1, &[37, 16])
         .eps(1e-5)
         .method(Method::GmSort)
@@ -252,9 +255,7 @@ fn prime_grid_lifecycles_stay_inside_static_plans() {
     let c = gen_strengths::<f32>(m, 42);
     let mut f = vec![Complex::<f32>::ZERO; 37 * 16];
     plan.execute(&c, &mut f).expect("execute");
-    let g = PlanGeometry::from_spec(&spec, m, &Tuning::default(), props.shared_mem_per_block)
-        .expect("geometry");
-    let plans: BTreeMap<String, AccessPlan> = plans_for(&g)
+    let plans: BTreeMap<String, AccessPlan> = plans_for(plan.geometry(), m)
         .into_iter()
         .map(|p| (p.kernel.clone(), p))
         .collect();

@@ -83,6 +83,24 @@ else
     emit_conformance_json -- --nocapture
 fi
 
+# Committed results vs their harnesses: the SM ablation and Fig. 2
+# harnesses report simulated V100 time, which is deterministic, so
+# rerunning them must rewrite their CSVs under results/ byte for byte.
+# RESULTS=1 reruns them and fails on any difference (about 3.5 min on
+# 2 cores with a warm build).
+RESULT_BENCHES=(ablation_bins ablation_msub ablation_interp_sm fig2_spread)
+if [[ "${RESULTS:-0}" != "0" ]]; then
+  echo "== RESULTS=1 regenerate simulated-time CSVs and diff against the committed files"
+  csvs=()
+  for b in "${RESULT_BENCHES[@]}"; do
+    cargo bench -q -p bench --bench "$b" > /dev/null
+    csvs+=("results/$b.csv")
+  done
+  git diff --exit-code -- "${csvs[@]}"
+else
+  echo "== results CSV check skipped (RESULTS=1 to regenerate and diff ${RESULT_BENCHES[*]})"
+fi
+
 if [[ "${CHAOS:-0}" != "0" ]]; then
   echo "== CHAOS=1 randomized probabilistic-fault sweep"
   CHAOS=1 cargo test -q --test fault_injection chaos_randomized -- --nocapture
