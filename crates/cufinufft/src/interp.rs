@@ -2,16 +2,17 @@
 //!
 //! One thread per target point, in either user order (**GM**) or
 //! bin-sorted order (**GM-sort**). Reads carry no write conflicts, so the
-//! only effect of sorting is read coalescing; there is no SM variant
-//! (the paper argues its benefit would be limited).
+//! only effect of sorting is read coalescing. Plans ship no SM variant
+//! (the paper argues its benefit would be limited); [`interp_sm`] exists
+//! only as the ablation that measures that claim.
 
 use crate::opts::sm_tile;
-use crate::spread::{footprint, Footprint, PtsRef, SpreadInputs, MAX_W};
+use crate::spread::{PtsRef, SpreadInputs};
 use gpu_sim::{Device, DeviceFault, LaunchConfig, LaunchReport, Precision, Scope};
 use nufft_common::complex::Complex;
 use nufft_common::real::Real;
 use nufft_common::shape::Shape;
-use nufft_kernels::Kernel1d;
+use nufft_kernels::{Footprint, Kernel1d};
 
 const FLOPS_PER_EVAL: u64 = 30;
 const FLOPS_PER_CELL: u64 = 8;
@@ -76,7 +77,7 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
             fps.clear();
             fps.extend(
                 warp.iter()
-                    .map(|&j| footprint(kernel, fine, &pts, j as usize)),
+                    .map(|&j| Footprint::new(kernel, fine, dim, pts.point(j as usize))),
             );
             let [wd1, wd2, wd3] = fps[0].wd;
             let steps = (wd1 * wd2 * wd3) as u64;
@@ -114,24 +115,19 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
             // functional interpolation
             for (l, (&j, fp)) in warp.iter().zip(fps.iter()).enumerate() {
                 let lane = lane0 + l as u32;
-                let mut acc = Complex::<T>::ZERO;
-                for t3 in 0..fp.wd[2] {
-                    for t2 in 0..fp.wd[1] {
-                        let k23 = fp.ker[1][t2] * fp.ker[2][t3];
-                        let base = fp.idx[2][t3] * n1 * n2 + fp.idx[1][t2] * n1;
-                        let mut row = Complex::<T>::ZERO;
-                        for t1 in 0..fp.wd[0] {
-                            row += grid[base + fp.idx[0][t1]].scale(T::from_f64(fp.ker[0][t1]));
-                            if traced {
-                                let cell = (base + fp.idx[0][t1]) as u64;
+                if traced {
+                    for &i3 in &fp.idx[2][..fp.wd[2]] {
+                        for &i2 in &fp.idx[1][..fp.wd[1]] {
+                            let base = i3 * n1 * n2 + i2 * n1;
+                            for &i1 in &fp.idx[0][..fp.wd[0]] {
+                                let cell = (base + i1) as u64;
                                 b.trace_read(tb_grid, lane, 2 * cell);
                                 b.trace_read(tb_grid, lane, 2 * cell + 1);
                             }
                         }
-                        acc += row.scale(T::from_f64(k23));
                     }
                 }
-                writes.push((j as usize, acc));
+                writes.push((j as usize, fp.interp(fine, grid)));
                 b.trace_write(tb_out, lane, 2 * j as u64);
                 b.trace_write(tb_out, lane, 2 * j as u64 + 1);
             }
@@ -190,7 +186,6 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
     let body = |bid: usize, b: &mut gpu_sim::BlockAcc<'_>| {
         let sp = &subproblems[bid];
         let mut addrs = [0usize; 32];
-        let mut idx = [[0usize; MAX_W]; 3];
         let mut writes: Vec<(usize, Complex<T>)> = Vec::with_capacity(sp.len as usize);
         let o = layout.origin(sp.bin as usize);
         let delta = [
@@ -218,30 +213,12 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
             }
             b.flops(warp.len() as u64 * (dim * w) as u64 * 30);
             for &j in warp {
-                let fp = footprint(kernel, fine, pts, j as usize);
+                let fp = Footprint::new(kernel, fine, dim, pts.point(j as usize));
                 // shared-memory gathers for every cell of the footprint
                 b.shared_reads((fp.wd[0] * fp.wd[1] * fp.wd[2]) as u64);
                 b.flops((fp.wd[0] * fp.wd[1] * fp.wd[2]) as u64 * 8);
                 // functional evaluation straight from the global grid
-                for i in 0..3 {
-                    let n = [n1, n2, n3][i] as i64;
-                    for (t, slot) in idx[i][..fp.wd[i]].iter_mut().enumerate() {
-                        *slot = (fp.l0[i] + t as i64).rem_euclid(n) as usize;
-                    }
-                }
-                let mut acc = Complex::<T>::ZERO;
-                for t3 in 0..fp.wd[2] {
-                    for t2 in 0..fp.wd[1] {
-                        let k23 = fp.ker[1][t2] * fp.ker[2][t3];
-                        let base = idx[2][t3] * n1 * n2 + idx[1][t2] * n1;
-                        let mut row = Complex::<T>::ZERO;
-                        for t1 in 0..fp.wd[0] {
-                            row += grid[base + idx[0][t1]].scale(T::from_f64(fp.ker[0][t1]));
-                        }
-                        acc += row.scale(T::from_f64(k23));
-                    }
-                }
-                writes.push((j as usize, acc));
+                writes.push((j as usize, fp.interp(fine, grid)));
             }
             // output writes
             for (l, &j) in warp.iter().enumerate() {
@@ -261,8 +238,8 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
 
 /// Interpolate `bc` stacked fine grids at the registered points into
 /// `bc` stacked output vectors (the `ntransf` layout; see
-/// [`spread_batch`](crate::spread::spread_batch)). Interpolation has no
-/// SM variant, so the method only decides the point order: bin-sorted
+/// [`spread_batch`](crate::spread::spread_batch)). Plans ship no SM
+/// interpolation, so the method only decides the point order: bin-sorted
 /// when a sort is available and the method wants it, user order
 /// otherwise.
 #[allow(clippy::too_many_arguments)]

@@ -19,12 +19,8 @@ use gpu_sim::{Device, DeviceFault, LaunchConfig, LaunchReport, Precision, Scope}
 use nufft_common::complex::Complex;
 use nufft_common::real::Real;
 use nufft_common::shape::Shape;
-use nufft_kernels::{grid_coord, spread_footprint, Kernel1d};
+use nufft_kernels::{Footprint, Kernel1d};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Maximum kernel width across all supported kernels (the Gaussian
-/// baseline needs up to 26).
-pub const MAX_W: usize = 32;
 
 /// Borrowed structure-of-arrays view of the device-resident points.
 #[derive(Copy, Clone)]
@@ -50,45 +46,12 @@ impl<'a, T: Real> PtsRef<'a, T> {
             T::ZERO
         }
     }
-}
 
-pub(crate) struct Footprint {
-    pub l0: [i64; 3],
-    pub wd: [usize; 3],
-    pub ker: [[f64; MAX_W]; 3],
-    /// Wrapped grid indices `(l0 + t).rem_euclid(n)` per dimension,
-    /// precomputed once per point so the w^d lockstep/update loops do
-    /// table lookups instead of one i64 division per cell visit (the
-    /// dominant host cost of a simulated spread launch).
-    pub idx: [[usize; MAX_W]; 3],
-}
-
-#[inline]
-pub(crate) fn footprint<T: Real, K: Kernel1d>(
-    kernel: &K,
-    fine: Shape,
-    pts: &PtsRef<'_, T>,
-    j: usize,
-) -> Footprint {
-    let w = kernel.width();
-    let mut fp = Footprint {
-        l0: [0; 3],
-        wd: [1; 3],
-        ker: [[1.0; MAX_W]; 3],
-        idx: [[0; MAX_W]; 3],
-    };
-    for i in 0..pts.dim {
-        let g = grid_coord(pts.coord(i, j).to_f64(), fine.n[i]);
-        let (l0, z0) = spread_footprint(g, w);
-        fp.l0[i] = l0;
-        fp.wd[i] = w;
-        let n = fine.n[i] as i64;
-        for (t, slot) in fp.idx[i][..w].iter_mut().enumerate() {
-            *slot = (l0 + t as i64).rem_euclid(n) as usize;
-        }
-        kernel.eval_row(z0, &mut fp.ker[i][..w]);
+    /// Point `j`'s coordinates, zero past `dim`.
+    #[inline(always)]
+    pub fn point(&self, j: usize) -> [T; 3] {
+        [0, 1, 2].map(|i| self.coord(i, j))
     }
-    fp
 }
 
 /// Split a `w`-cell row that starts at the wrapped x-index `start` into
@@ -115,30 +78,6 @@ pub(crate) fn account_row(
 ) {
     for (s, len) in row_segments(start, w, n1) {
         b.dram_span((row_base_cell + s) * cb, len * cb, write);
-    }
-}
-
-/// Add strength `c` times the footprint's kernel weights into `grid`, in
-/// the order one GM thread issues its atomic adds (t3, t2, then t1
-/// fastest). Every GM path — priced or replayed — accumulates through
-/// this one helper, so replaying a launch yields a bitwise-equal grid.
-#[inline]
-pub(crate) fn apply_footprint<T: Real>(
-    grid: &mut [Complex<T>],
-    fine: Shape,
-    fp: &Footprint,
-    c: Complex<T>,
-) {
-    let [n1, n2, _] = fine.n;
-    for t3 in 0..fp.wd[2] {
-        let off3 = fp.idx[2][t3] * n1 * n2;
-        for t2 in 0..fp.wd[1] {
-            let c23 = c.scale(T::from_f64(fp.ker[1][t2] * fp.ker[2][t3]));
-            let base = off3 + fp.idx[1][t2] * n1;
-            for (&i1, &k1) in fp.idx[0][..fp.wd[0]].iter().zip(fp.ker[0].iter()) {
-                grid[base + i1] += c23.scale(T::from_f64(k1));
-            }
-        }
     }
 }
 
@@ -275,8 +214,8 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
     )?;
     if let Some(report) = priced.filter(|_| !k.access_traced()) {
         for &j in order {
-            let fp = footprint(kernel, fine, pts, j as usize);
-            apply_footprint(grid, fine, &fp, strengths[j as usize]);
+            let fp = Footprint::new(kernel, fine, pts.dim, pts.point(j as usize));
+            fp.spread(fine, strengths[j as usize], grid);
         }
         return Ok(dev.launch_priced(k, report));
     }
@@ -297,8 +236,8 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
     // One task per thread block, run on the host pool (bit-identical to
     // serial; see `Kernel::run_blocks`). The block body reports costs to
     // its private accumulator and returns its points' footprints; `apply`
-    // replays them through `apply_footprint` in block-id order so the
-    // floating-point accumulation order matches a serial sweep exactly.
+    // spreads them in block-id order so the floating-point accumulation
+    // order matches a serial sweep exactly.
     let pts = *pts;
     let body = |bid: usize, b: &mut gpu_sim::BlockAcc<'_>| {
         let block = block_of(bid);
@@ -325,7 +264,7 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
             let warp_start = block_fps.len();
             block_fps.extend(
                 warp.iter()
-                    .map(|&j| footprint(kernel, fine, &pts, j as usize)),
+                    .map(|&j| Footprint::new(kernel, fine, dim, pts.point(j as usize))),
             );
             let fps = &block_fps[warp_start..];
             let [wd1, wd2, wd3] = fps[0].wd;
@@ -386,7 +325,7 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
     };
     k.run_blocks(n_blocks, body, |bid, fps| {
         for (&j, fp) in block_of(bid).iter().zip(&fps) {
-            apply_footprint(grid, fine, fp, strengths[j as usize]);
+            fp.spread(fine, strengths[j as usize], grid);
         }
     });
     Ok(dev.launch_end(k))
@@ -478,19 +417,9 @@ pub fn spread_sm<T: Real, K: Kernel1d>(
             b.flops(warp.len() as u64 * (dim * w) as u64 * FLOPS_PER_EVAL);
             for (l, &j) in warp.iter().enumerate() {
                 let thread = (lane0 + l as u32) % tpb;
-                let fp = footprint(kernel, fine, &pts, j as usize);
-                let c = strengths[j as usize];
-                let b1 = (fp.l0[0] - delta[0]) as usize;
-                let b2 = if dim >= 2 {
-                    (fp.l0[1] - delta[1]) as usize
-                } else {
-                    0
-                };
-                let b3 = if dim >= 3 {
-                    (fp.l0[2] - delta[2]) as usize
-                } else {
-                    0
-                };
+                let fp = Footprint::new(kernel, fine, dim, pts.point(j as usize));
+                // unused axes: start node 0, bin origin 0, no pad
+                let [b1, b2, b3] = [0, 1, 2].map(|i| (fp.l0[i] - delta[i]) as usize);
                 // In-range invariant for boundary-pinned points: the
                 // point's cell lies inside this subproblem's bin, so its
                 // w-wide footprint fits the padded extent. This is what
@@ -504,21 +433,18 @@ pub fn spread_sm<T: Real, K: Kernel1d>(
                      ({b1},{b2},{b3}) + w{w} > padded {p:?}"
                 );
                 for t3 in 0..fp.wd[2] {
-                    let off3 = (b3 + t3) * p[0] * p[1];
                     for t2 in 0..fp.wd[1] {
-                        let c23 = c.scale(T::from_f64(fp.ker[1][t2] * fp.ker[2][t3]));
-                        let base = off3 + (b2 + t2) * p[0] + b1;
-                        for t1 in 0..fp.wd[0] {
-                            let cell = base + t1;
+                        let base = ((b3 + t3) * p[1] + b2 + t2) * p[0] + b1;
+                        for cell in base..base + fp.wd[0] {
                             // two shared atomics per cell (re, im words)
                             b.shared_atomic(cell);
                             b.shared_atomic(cell);
                             b.trace_atomic(tb_bin, thread, 2 * cell as u64);
                             b.trace_atomic(tb_bin, thread, 2 * cell as u64 + 1);
-                            local[cell] += c23.scale(T::from_f64(fp.ker[0][t1]));
                         }
                     }
                 }
+                fp.spread_box(strengths[j as usize], &mut local, p, [b1, b2, b3]);
                 b.flops((fp.wd[0] * fp.wd[1] * fp.wd[2]) as u64 * FLOPS_PER_CELL);
             }
         }
@@ -682,7 +608,7 @@ mod tests {
     use crate::bins::{build_subproblems, gpu_bin_sort};
     use nufft_common::metrics::rel_l2;
     use nufft_common::workload::{gen_points, gen_strengths, PointDist, Points};
-    use nufft_kernels::EsKernel;
+    use nufft_kernels::{EsKernel, MAX_W};
 
     fn pts_ref<T: Real>(p: &Points<T>) -> PtsRef<'_, T> {
         PtsRef {
@@ -702,7 +628,7 @@ mod tests {
         let order: Vec<u32> = (0..pts.len() as u32).collect();
         let pr = pts_ref(pts);
         for &j in &order {
-            let fp = footprint(kernel, fine, &pr, j as usize);
+            let fp = Footprint::new(kernel, fine, pr.dim, pr.point(j as usize));
             let [n1, n2, n3] = fine.n;
             let mut idx = [[0usize; MAX_W]; 3];
             for i in 0..3 {

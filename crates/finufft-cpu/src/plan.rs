@@ -128,7 +128,7 @@ impl<T: Real, K: Kernel1d> Plan<T, K> {
         if modes.contains(&0) {
             return Err(NufftError::BadModes("zero-size mode dimension".into()));
         }
-        if opts.upsampfac <= 1.0 {
+        if opts.upsampfac <= 1.0 || opts.upsampfac.is_nan() {
             return Err(NufftError::BadOptions(format!(
                 "upsampfac must exceed 1, got {}",
                 opts.upsampfac

@@ -16,11 +16,8 @@ use nufft_common::complex::Complex;
 use nufft_common::real::Real;
 use nufft_common::shape::Shape;
 use nufft_common::workload::Points;
-use nufft_kernels::{grid_coord, spread_footprint, Kernel1d};
+use nufft_kernels::{grid_coord, spread_footprint, Footprint, Kernel1d};
 use std::sync::mpsc;
-
-/// Upper bound on kernel width across all supported kernels.
-pub const MAX_W: usize = 32;
 
 /// Below this many points, spreading goes straight into the global grid
 /// and interpolation stays on the calling thread.
@@ -33,53 +30,11 @@ fn chunk_len(m: usize) -> usize {
     m.div_ceil(64).max(4096)
 }
 
-/// Footprint of one point: per-axis start node (unwrapped), width and
-/// tensor-factor row. Unused axes have width 1 and factor 1.
-pub(crate) struct Footprint {
-    pub l0: [i64; 3],
-    pub wd: [usize; 3],
-    pub ker: [[f64; MAX_W]; 3],
-}
-
 /// First fine-grid node (unwrapped) of point `j`'s footprint along axis
 /// `i`, and the kernel coordinate of that node.
 #[inline]
 fn start_node<T: Real>(fine: Shape, pts: &Points<T>, w: usize, i: usize, j: usize) -> (i64, f64) {
     spread_footprint(grid_coord(pts.coord(i, j).to_f64(), fine.n[i]), w)
-}
-
-#[inline]
-pub(crate) fn footprint<T: Real, K: Kernel1d>(
-    kernel: &K,
-    fine: Shape,
-    pts: &Points<T>,
-    j: usize,
-) -> Footprint {
-    let w = kernel.width();
-    let mut fp = Footprint {
-        l0: [0; 3],
-        wd: [1; 3],
-        ker: [[1.0; MAX_W]; 3],
-    };
-    for i in 0..pts.dim {
-        let (l0, z0) = start_node(fine, pts, w, i, j);
-        fp.l0[i] = l0;
-        fp.wd[i] = w;
-        kernel.eval_row(z0, &mut fp.ker[i][..w]);
-    }
-    fp
-}
-
-/// Fill `idx[i][..wd[i]]` with the footprint's periodically wrapped
-/// grid indices along each axis.
-#[inline]
-fn wrap_indices(fine: Shape, fp: &Footprint, idx: &mut [[usize; MAX_W]; 3]) {
-    for (i, axis) in idx.iter_mut().enumerate() {
-        let n = fine.n[i] as i64;
-        for (t, slot) in axis[..fp.wd[i]].iter_mut().enumerate() {
-            *slot = (fp.l0[i] + t as i64).rem_euclid(n) as usize;
-        }
-    }
 }
 
 /// Spread the points listed in `order` onto the fine grid (sequential).
@@ -92,32 +47,14 @@ pub fn spread_serial<T: Real, K: Kernel1d>(
     out: &mut [Complex<T>],
 ) {
     assert_eq!(out.len(), fine.total());
-    let [n1, n2, _] = fine.n;
-    let mut idx = [[0usize; MAX_W]; 3];
-    for &jr in order {
-        let j = jr as usize;
-        let fp = footprint(kernel, fine, pts, j);
-        wrap_indices(fine, &fp, &mut idx);
-        let c = strengths[j];
-        for t3 in 0..fp.wd[2] {
-            let k3 = fp.ker[2][t3];
-            let off3 = idx[2][t3] * n1 * n2;
-            for t2 in 0..fp.wd[1] {
-                let k23 = T::from_f64(fp.ker[1][t2] * k3);
-                let c23 = c.scale(k23);
-                let base = off3 + idx[1][t2] * n1;
-                for t1 in 0..fp.wd[0] {
-                    let k1 = T::from_f64(fp.ker[0][t1]);
-                    out[base + idx[0][t1]] += c23.scale(k1);
-                }
-            }
-        }
+    for &j in order {
+        let fp = Footprint::new(kernel, fine, pts.dim, pts.point(j as usize));
+        fp.spread(fine, strengths[j as usize], out);
     }
 }
 
 /// Interpolate grid values at the points `order` lists: `out[s]` gets
-/// point `order[s]`'s value (sequential core). Rows that do not wrap in
-/// x are read as contiguous slices.
+/// point `order[s]`'s value (sequential core).
 fn interp_points<T: Real, K: Kernel1d>(
     kernel: &K,
     fine: Shape,
@@ -126,36 +63,8 @@ fn interp_points<T: Real, K: Kernel1d>(
     order: &[u32],
     out: &mut [Complex<T>],
 ) {
-    let [n1, n2, _] = fine.n;
-    let mut idx = [[0usize; MAX_W]; 3];
-    for (o, &jr) in out.iter_mut().zip(order) {
-        let fp = footprint(kernel, fine, pts, jr as usize);
-        wrap_indices(fine, &fp, &mut idx);
-        let ker1 = &fp.ker[0][..fp.wd[0]];
-        let x0 = fp.l0[0];
-        let contiguous = x0 >= 0 && x0 + fp.wd[0] as i64 <= n1 as i64;
-        let mut acc = Complex::<T>::ZERO;
-        for t3 in 0..fp.wd[2] {
-            let k3 = fp.ker[2][t3];
-            let off3 = idx[2][t3] * n1 * n2;
-            for t2 in 0..fp.wd[1] {
-                let k23 = fp.ker[1][t2] * k3;
-                let base = off3 + idx[1][t2] * n1;
-                let mut row = Complex::<T>::ZERO;
-                if contiguous {
-                    let cells = &grid[base + x0 as usize..][..ker1.len()];
-                    for (&g, &k1) in cells.iter().zip(ker1) {
-                        row += g.scale(T::from_f64(k1));
-                    }
-                } else {
-                    for (&i1, &k1) in idx[0].iter().zip(ker1) {
-                        row += grid[base + i1].scale(T::from_f64(k1));
-                    }
-                }
-                acc += row.scale(T::from_f64(k23));
-            }
-        }
-        *o = acc;
+    for (o, &j) in out.iter_mut().zip(order) {
+        *o = Footprint::new(kernel, fine, pts.dim, pts.point(j as usize)).interp(fine, grid);
     }
 }
 
@@ -193,24 +102,10 @@ fn spread_subproblem<T: Real, K: Kernel1d>(
         (hi[2] - lo[2]) as usize,
     ];
     let mut data = vec![Complex::<T>::ZERO; size[0] * size[1] * size[2]];
-    for &jr in chunk {
-        let fp = footprint(kernel, fine, pts, jr as usize);
-        let c = strengths[jr as usize];
-        let ker1 = &fp.ker[0][..fp.wd[0]];
-        let b1 = (fp.l0[0] - lo[0]) as usize;
-        let b2 = (fp.l0[1] - lo[1]) as usize;
-        let b3 = (fp.l0[2] - lo[2]) as usize;
-        for t3 in 0..fp.wd[2] {
-            let k3 = fp.ker[2][t3];
-            let off3 = (b3 + t3) * size[0] * size[1];
-            for t2 in 0..fp.wd[1] {
-                let c23 = c.scale(T::from_f64(fp.ker[1][t2] * k3));
-                let base = off3 + (b2 + t2) * size[0] + b1;
-                for (cell, &k1) in data[base..][..ker1.len()].iter_mut().zip(ker1) {
-                    *cell += c23.scale(T::from_f64(k1));
-                }
-            }
-        }
+    for &j in chunk {
+        let fp = Footprint::new(kernel, fine, pts.dim, pts.point(j as usize));
+        let at = [0, 1, 2].map(|i| (fp.l0[i] - lo[i]) as usize);
+        fp.spread_box(strengths[j as usize], &mut data, size, at);
     }
     Subgrid { lo, size, data }
 }
@@ -324,7 +219,7 @@ mod tests {
     use super::*;
     use nufft_common::metrics::rel_l2;
     use nufft_common::workload::{gen_points, gen_strengths, PointDist};
-    use nufft_kernels::EsKernel;
+    use nufft_kernels::{EsKernel, MAX_W};
 
     /// Reference interpolation: every point in user order, every row
     /// through the wrapped index table.
@@ -339,8 +234,13 @@ mod tests {
         let [n1, n2, _] = fine.n;
         let mut idx = [[0usize; MAX_W]; 3];
         for (slot, j) in j_range.enumerate() {
-            let fp = footprint(kernel, fine, pts, j);
-            wrap_indices(fine, &fp, &mut idx);
+            let fp = Footprint::new(kernel, fine, pts.dim, pts.point(j));
+            for (i, axis) in idx.iter_mut().enumerate() {
+                let n = fine.n[i] as i64;
+                for (t, k) in axis[..fp.wd[i]].iter_mut().enumerate() {
+                    *k = (fp.l0[i] + t as i64).rem_euclid(n) as usize;
+                }
+            }
             let mut acc = Complex::<T>::ZERO;
             for t3 in 0..fp.wd[2] {
                 let k3 = fp.ker[2][t3];

@@ -261,6 +261,35 @@ fn error_paths() {
 }
 
 #[test]
+fn upsampfac_not_above_one_is_a_typed_error() {
+    use nufft_common::NufftError;
+    use nufft_kernels::{EsKernel, EvalKernel};
+    let (t1, modes) = (TransformType::Type1, [8usize, 8]);
+    for upsampfac in [0.5, 1.0, f64::NAN] {
+        let opts = Opts {
+            upsampfac,
+            ..Opts::default()
+        };
+        let errs = [
+            Plan::<f64>::new(t1, &modes, -1, 1e-6, opts.clone()).err(),
+            Plan::<f64, EvalKernel>::new(t1, &modes, -1, 1e-6, opts.clone()).err(),
+            Plan::<f64>::with_kernel(t1, &modes, -1, EsKernel::with_width(6), opts).err(),
+        ];
+        assert!(
+            matches!(
+                errs,
+                [
+                    Some(NufftError::BadUpsampfac(_)),
+                    Some(NufftError::BadUpsampfac(_)),
+                    Some(NufftError::BadOptions(_)),
+                ]
+            ),
+            "{upsampfac}: {errs:?}"
+        );
+    }
+}
+
+#[test]
 fn one_shot_wrappers_agree_with_guru() {
     let n1 = 18;
     let n2 = 14;

@@ -46,6 +46,11 @@ impl<T: Real> Points<T> {
         }
     }
 
+    /// Point `j`'s coordinates, zero past `dim`.
+    pub fn point(&self, j: usize) -> [T; 3] {
+        [0, 1, 2].map(|i| self.coord(i, j))
+    }
+
     pub fn x(&self) -> &[T] {
         &self.coords[0]
     }

@@ -96,9 +96,12 @@ impl EsKernel {
     /// [`NufftError::EpsTooSmall`] error, never a silent clamp. Smaller
     /// `sigma` buys fewer digits per unit width, so the same `eps` needs
     /// a wider kernel (e.g. at `sigma = 1.25`, `eps = 1e-6` takes `w = 9`
-    /// versus `w = 7` at `sigma = 2`).
+    /// versus `w = 7` at `sigma = 2`). A `sigma` that is not above 1
+    /// (NaN included) is a [`NufftError::BadUpsampfac`] error.
     pub fn for_tolerance_sigma(eps: f64, sigma: f64, is_double: bool) -> Result<Self> {
-        assert!(sigma > 1.0, "upsampling factor must exceed 1");
+        if sigma <= 1.0 || sigma.is_nan() {
+            return Err(NufftError::BadUpsampfac(sigma));
+        }
         let limit = eps_limit(is_double);
         if eps < limit || eps.is_nan() {
             return Err(NufftError::EpsTooSmall { eps, limit });

@@ -12,6 +12,7 @@
 pub mod deconv;
 pub mod es;
 pub mod eval;
+pub mod footprint;
 pub mod gauss_legendre;
 pub mod gaussian;
 pub mod horner;
@@ -19,6 +20,7 @@ pub mod kaiser_bessel;
 
 pub use es::EsKernel;
 pub use eval::{EvalKernel, KernelEval};
+pub use footprint::{Footprint, MAX_W};
 pub use gaussian::GaussianKernel;
 pub use horner::HornerKernel;
 pub use kaiser_bessel::KaiserBesselKernel;
