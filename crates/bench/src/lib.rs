@@ -299,11 +299,7 @@ pub fn finufft_model_times<T: Real>(
     m: usize,
 ) -> (f64, f64) {
     let model = finufft_cpu::CpuModel::xeon_e5_2680v4();
-    let prec = if T::IS_DOUBLE {
-        finufft_cpu::CpuPrecision::Double
-    } else {
-        finufft_cpu::CpuPrecision::Single
-    };
+    let prec = finufft_cpu::CpuPrecision::of::<T>();
     let kernel =
         nufft_kernels::EsKernel::for_tolerance(eps, T::IS_DOUBLE).expect("tolerance in range");
     let fine = modes.map(|_, n| nufft_common::smooth::fine_grid_size(n, 2.0, kernel.w));

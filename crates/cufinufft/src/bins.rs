@@ -102,11 +102,7 @@ pub fn gpu_bin_sort<T: Real>(
     let layout = BinLayout::new(fine, bin_size);
     let nb = layout.total();
     let m = pts.len();
-    let prec = if T::IS_DOUBLE {
-        Precision::Double
-    } else {
-        Precision::Single
-    };
+    let prec = Precision::of::<T>();
     let coord_bytes = m * pts.dim * T::BYTES;
 
     let mut bin_of = vec![0u32; m];

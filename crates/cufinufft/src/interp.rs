@@ -34,11 +34,7 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
     assert_eq!(grid.len(), fine.total());
     assert_eq!(out.len(), order.len());
     let cb = std::mem::size_of::<Complex<T>>();
-    let prec = if T::IS_DOUBLE {
-        Precision::Double
-    } else {
-        Precision::Single
-    };
+    let prec = Precision::of::<T>();
     let mut k = dev.kernel(name, LaunchConfig::new(prec, threads_per_block))?;
     // traced buffers (no-ops unless the device is in hazard mode): the
     // grid is only read, each out[j] is written by exactly one thread
@@ -165,11 +161,7 @@ pub fn interp_sm<T: Real, K: Kernel1d>(
     assert_eq!(grid.len(), fine.total());
     assert_eq!(out.len(), perm.len());
     let cb = std::mem::size_of::<Complex<T>>();
-    let prec = if T::IS_DOUBLE {
-        Precision::Double
-    } else {
-        Precision::Single
-    };
+    let prec = Precision::of::<T>();
     let w = kernel.width();
     let dim = pts.dim;
     let p = sm_tile(layout.bin_size, dim, w);

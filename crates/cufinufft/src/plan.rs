@@ -8,17 +8,19 @@ use crate::interp::interp_batch;
 use crate::opts::{GpuOpts, Method, ModeOrder, Tuning};
 use crate::recovery::{with_retry, RecoveryReport};
 use crate::spread::{spread_batch, PricedLaunches, PtsRef, SpreadInputs};
-use gpu_sim::{Device, GpuBuffer, HazardMode, HazardReport, Lane, Precision, Trace, TraceReport};
+use gpu_sim::{
+    Device, DeviceFault, GpuBuffer, HazardMode, HazardReport, Lane, Precision, Trace, TraceReport,
+};
 use nufft_common::complex::Complex;
 use nufft_common::error::{NufftError, Result};
 use nufft_common::real::Real;
-use nufft_common::shape::{freq_to_bin, freqs, Shape};
+use nufft_common::shape::Shape;
 use nufft_common::smooth::FineSizing;
 use nufft_common::spec::{Precision as SpecPrecision, TransformSpec};
 use nufft_common::workload::Points;
 use nufft_common::TransformType;
 use nufft_fft::Direction;
-use nufft_kernels::deconv::correction_rows;
+use nufft_kernels::deconv::{correction_rows, to_grid, to_modes};
 use nufft_kernels::{EsKernel, EvalKernel};
 
 /// Lowercase metric tag for a (resolved) spread method, used to key the
@@ -172,6 +174,16 @@ impl<T: Real> PtsState<T> {
     }
 }
 
+/// The single-transform device buffers. A call that runs a stage body
+/// moves them out of the plan for its duration ([`Plan::with_io`]), the
+/// way `execute_many` moves the batch set out, so the body can borrow
+/// the plan immutably while it writes them.
+struct IoBufs<T: Real> {
+    d_in: GpuBuffer<Complex<T>>,
+    d_grid: GpuBuffer<Complex<T>>,
+    d_out: GpuBuffer<Complex<T>>,
+}
+
 /// A cuFINUFFT plan bound to a device.
 pub struct Plan<T: Real> {
     ttype: TransformType,
@@ -191,9 +203,8 @@ pub struct Plan<T: Real> {
     dev: Device,
     fft: gpu_fft::GpuFftPlan<T>,
     corr: [Vec<f64>; 3],
-    d_grid: GpuBuffer<Complex<T>>,
-    d_in: GpuBuffer<Complex<T>>,
-    d_out: GpuBuffer<Complex<T>>,
+    /// Present except while a call has lent it out.
+    io: Option<IoBufs<T>>,
     /// Chunk-sized staging buffers for `execute_many`, allocated lazily
     /// (or up front when the builder declares `ntransf > 1`).
     d_in_batch: Option<GpuBuffer<Complex<T>>>,
@@ -547,9 +558,11 @@ impl<T: Real> Plan<T> {
             dev: dev.clone(),
             fft,
             corr,
-            d_grid,
-            d_in,
-            d_out,
+            io: Some(IoBufs {
+                d_in,
+                d_grid,
+                d_out,
+            }),
             d_in_batch: None,
             d_grid_batch: None,
             d_out_batch: None,
@@ -772,27 +785,35 @@ impl<T: Real> Plan<T> {
         Ok(())
     }
 
-    fn precision() -> Precision {
-        if T::IS_DOUBLE {
-            Precision::Double
-        } else {
-            Precision::Single
-        }
+    /// Run `f` with the recovery report and the single-transform buffers
+    /// moved out of the plan; both are put back afterwards.
+    fn with_io<R>(
+        &mut self,
+        f: impl FnOnce(&mut Self, &mut IoBufs<T>, &mut RecoveryReport) -> Result<R>,
+    ) -> Result<R> {
+        let mut rec = std::mem::take(&mut self.recovery);
+        let mut io = self
+            .io
+            .take()
+            .expect("the single-transform buffers are lent to one call at a time");
+        let r = f(self, &mut io, &mut rec);
+        self.io = Some(io);
+        self.recovery = rec;
+        r
     }
 
     /// Execute the transform (cufinufft_execute). Type 1: `input` = M
     /// strengths, `output` = N modes; type 2 swaps the roles. Host-device
     /// transfers of input/output are included and reported separately in
-    /// [`GpuStageTimings`].
+    /// [`GpuStageTimings`]. Between the two copies this runs the same
+    /// stage body as each chunk of [`Plan::execute_many`], on one vector.
     pub fn execute(&mut self, input: &[Complex<T>], output: &mut [Complex<T>]) -> Result<()> {
-        let mut rec = std::mem::take(&mut self.recovery);
-        let r = self.execute_impl(input, output, &mut rec);
-        self.recovery = rec;
-        r
+        self.with_io(|plan, io, rec| plan.execute_impl(io, input, output, rec))
     }
 
     fn execute_impl(
         &mut self,
+        io: &mut IoBufs<T>,
         input: &[Complex<T>],
         output: &mut [Complex<T>],
         rec: &mut RecoveryReport,
@@ -831,13 +852,13 @@ impl<T: Real> Plan<T> {
         let dev = self.dev.clone();
         let policy = self.opts.recovery;
         let t0 = self.dev.clock();
-        if self.d_in.len() != want_in {
-            self.d_in = with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:in", || {
+        if io.d_in.len() != want_in {
+            io.d_in = with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:in", || {
                 dev.alloc("in", want_in)
             })?;
         }
-        if self.d_out.len() != want_out {
-            self.d_out = with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:out", || {
+        if io.d_out.len() != want_out {
+            io.d_out = with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:out", || {
                 dev.alloc("out", want_out)
             })?;
         }
@@ -845,88 +866,39 @@ impl<T: Real> Plan<T> {
         self.timings.alloc += alloc_extra;
         let t1 = self.dev.clock();
         with_retry(&dev, &policy, trace.as_ref(), rec, "h2d:in", || {
-            self.dev.memcpy_htod(&mut self.d_in, input)
+            self.dev.memcpy_htod(&mut io.d_in, input)
         })?;
         self.timings.h2d_data = self.dev.clock() - t1;
 
-        // the exec stages zero the fine grid before touching it, so a
+        // the stage body zeroes the fine grid before touching it, so a
         // launch fault mid-transform can be retried wholesale
-        match self.ttype {
-            TransformType::Type1 => {
-                with_retry(&dev, &policy, trace.as_ref(), rec, "exec:type1", || {
-                    self.exec_type1()
-                })?
-            }
-            TransformType::Type2 => {
-                with_retry(&dev, &policy, trace.as_ref(), rec, "exec:type2", || {
-                    self.exec_type2()
-                })?
-            }
-        }
+        let what = match self.ttype {
+            TransformType::Type1 => "exec:type1",
+            TransformType::Type2 => "exec:type2",
+        };
+        let stage = with_retry(&dev, &policy, trace.as_ref(), rec, what, || {
+            let mut stage = GpuStageTimings::default();
+            self.exec(
+                state,
+                1,
+                &io.d_in,
+                &mut io.d_grid,
+                &mut io.d_out,
+                &mut stage,
+            )
+            .map(|()| stage)
+        })?;
+        self.timings.spread_interp = stage.spread_interp;
+        self.timings.fft = stage.fft;
+        self.timings.deconv = stage.deconv;
 
         let t2 = self.dev.clock();
         with_retry(&dev, &policy, trace.as_ref(), rec, "d2h:out", || {
-            self.dev.memcpy_dtoh(output, &self.d_out)
+            self.dev.memcpy_dtoh(output, &io.d_out)
         })?;
         self.timings.d2h = self.dev.clock() - t2;
         self.timings.batches = 1;
         self.timings.pipe_wall = 0.0;
-        Ok(())
-    }
-
-    /// Execute `n_transf` stacked transforms sharing the same nonuniform
-    /// points (the C API's `ntransf` batching). `input` and `output` hold
-    /// the vectors concatenated; sorting is shared, and per-vector
-    /// spread/FFT/deconvolve stages accumulate into the timing report —
-    /// the amortization the paper's "exec" timing captures.
-    pub fn execute_batch(
-        &mut self,
-        input: &[Complex<T>],
-        output: &mut [Complex<T>],
-        n_transf: usize,
-    ) -> Result<()> {
-        if n_transf == 0 {
-            return Err(NufftError::BadOptions("n_transf must be positive".into()));
-        }
-        let state = self.pts.as_ref().ok_or(NufftError::PointsNotSet)?;
-        let m = state.m;
-        let n = self.modes.total();
-        let (in_per, out_per) = match self.ttype {
-            TransformType::Type1 => (m, n),
-            TransformType::Type2 => (n, m),
-        };
-        if input.len() != in_per * n_transf {
-            return Err(NufftError::LengthMismatch {
-                expected: in_per * n_transf,
-                got: input.len(),
-            });
-        }
-        if output.len() != out_per * n_transf {
-            return Err(NufftError::LengthMismatch {
-                expected: out_per * n_transf,
-                got: output.len(),
-            });
-        }
-        let mut acc = GpuStageTimings {
-            alloc: self.timings.alloc,
-            h2d_pts: self.timings.h2d_pts,
-            sort: self.timings.sort,
-            batches: n_transf,
-            ..Default::default()
-        };
-        for t in 0..n_transf {
-            self.execute(
-                &input[t * in_per..(t + 1) * in_per],
-                &mut output[t * out_per..(t + 1) * out_per],
-            )?;
-            let lt = self.timings;
-            acc.h2d_data += lt.h2d_data;
-            acc.spread_interp += lt.spread_interp;
-            acc.fft += lt.fft;
-            acc.deconv += lt.deconv;
-            acc.d2h += lt.d2h;
-        }
-        self.timings = acc;
         Ok(())
     }
 
@@ -939,14 +911,12 @@ impl<T: Real> Plan<T> {
         strengths: &[Complex<T>],
         grid_out: &mut [Complex<T>],
     ) -> Result<()> {
-        let mut rec = std::mem::take(&mut self.recovery);
-        let r = self.spread_only_impl(strengths, grid_out, &mut rec);
-        self.recovery = rec;
-        r
+        self.with_io(|plan, io, rec| plan.spread_only_impl(io, strengths, grid_out, rec))
     }
 
     fn spread_only_impl(
         &mut self,
+        io: &mut IoBufs<T>,
         strengths: &[Complex<T>],
         grid_out: &mut [Complex<T>],
         rec: &mut RecoveryReport,
@@ -973,13 +943,13 @@ impl<T: Real> Plan<T> {
         let dev = self.dev.clone();
         let policy = self.opts.recovery;
         let trace = self.opts.trace.clone();
-        if self.d_in.len() != m {
-            self.d_in = with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:in", || {
+        if io.d_in.len() != m {
+            io.d_in = with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:in", || {
                 dev.alloc("in", m)
             })?;
         }
         with_retry(&dev, &policy, trace.as_ref(), rec, "h2d:in", || {
-            self.dev.memcpy_htod(&mut self.d_in, strengths)
+            self.dev.memcpy_htod(&mut io.d_in, strengths)
         })?;
         let t0 = self.dev.clock();
         let cb = std::mem::size_of::<Complex<T>>();
@@ -987,17 +957,27 @@ impl<T: Real> Plan<T> {
         with_retry(&dev, &policy, trace.as_ref(), rec, "spread", || {
             // re-zero inside the retry body so a launch fault can be
             // retried without double-accumulating
-            self.d_grid
+            io.d_grid
                 .as_mut_slice()
                 .iter_mut()
                 .for_each(|z| *z = Complex::ZERO);
             self.dev
-                .bulk_op("memset_grid", 0, nf * cb, 0.0, Self::precision());
-            self.run_spread()
+                .bulk_op("memset_grid", 0, nf * cb, 0.0, Precision::of::<T>());
+            spread_batch(
+                &self.dev,
+                &self.eval_kernel,
+                self.geom.fine,
+                self.geom.method,
+                self.opts.tuning.threads_per_block,
+                &state.inputs(),
+                1,
+                io.d_in.as_slice(),
+                io.d_grid.as_mut_slice(),
+            )
         })?;
         self.timings.spread_interp = self.dev.clock() - t0;
         with_retry(&dev, &policy, trace.as_ref(), rec, "d2h:grid", || {
-            self.dev.memcpy_dtoh(grid_out, &self.d_grid)
+            self.dev.memcpy_dtoh(grid_out, &io.d_grid)
         })?;
         Ok(())
     }
@@ -1006,14 +986,12 @@ impl<T: Real> Plan<T> {
     /// at the plan's points, skipping pre-correction and the FFT. The
     /// plan must be type 2.
     pub fn interp_only(&mut self, grid_in: &[Complex<T>], out: &mut [Complex<T>]) -> Result<()> {
-        let mut rec = std::mem::take(&mut self.recovery);
-        let r = self.interp_only_impl(grid_in, out, &mut rec);
-        self.recovery = rec;
-        r
+        self.with_io(|plan, io, rec| plan.interp_only_impl(io, grid_in, out, rec))
     }
 
     fn interp_only_impl(
         &mut self,
+        io: &mut IoBufs<T>,
         grid_in: &[Complex<T>],
         out: &mut [Complex<T>],
         rec: &mut RecoveryReport,
@@ -1041,20 +1019,30 @@ impl<T: Real> Plan<T> {
         let policy = self.opts.recovery;
         let trace = self.opts.trace.clone();
         with_retry(&dev, &policy, trace.as_ref(), rec, "h2d:grid", || {
-            self.dev.memcpy_htod(&mut self.d_grid, grid_in)
+            self.dev.memcpy_htod(&mut io.d_grid, grid_in)
         })?;
-        if self.d_out.len() != m {
-            self.d_out = with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:out", || {
+        if io.d_out.len() != m {
+            io.d_out = with_retry(&dev, &policy, trace.as_ref(), rec, "alloc:out", || {
                 dev.alloc("out", m)
             })?;
         }
         let t0 = self.dev.clock();
         with_retry(&dev, &policy, trace.as_ref(), rec, "interp", || {
-            self.run_interp()
+            interp_batch(
+                &self.dev,
+                &self.eval_kernel,
+                self.geom.fine,
+                self.geom.method,
+                self.opts.tuning.threads_per_block,
+                &state.inputs(),
+                1,
+                io.d_grid.as_slice(),
+                io.d_out.as_mut_slice(),
+            )
         })?;
         self.timings.spread_interp = self.dev.clock() - t0;
         with_retry(&dev, &policy, trace.as_ref(), rec, "d2h:out", || {
-            self.dev.memcpy_dtoh(out, &self.d_out)
+            self.dev.memcpy_dtoh(out, &io.d_out)
         })?;
         Ok(())
     }
@@ -1069,10 +1057,11 @@ impl<T: Real> Plan<T> {
     /// chunk-sized batch grid, the FFT runs batched (`cufftPlanMany`
     /// style), and each chunk's H2D -> compute -> D2H chain is scheduled
     /// on one of two streams so the transfers of chunk `i+1` hide under
-    /// the kernels of chunk `i`. Results are bitwise identical to `B`
-    /// sequential [`Plan::execute`] calls; [`Plan::timings`] reports the
-    /// accumulated stages plus the pipelined wall (`pipe_wall`), and
-    /// [`Plan::batch_timings`] the per-chunk schedule.
+    /// the kernels of chunk `i`. Each chunk runs the stage body that
+    /// [`Plan::execute`] runs on one vector, so results are bitwise
+    /// identical to `B` sequential `execute` calls; [`Plan::timings`]
+    /// reports the accumulated stages plus the pipelined wall
+    /// (`pipe_wall`), and [`Plan::batch_timings`] the per-chunk schedule.
     pub fn execute_many(&mut self, input: &[Complex<T>], output: &mut [Complex<T>]) -> Result<()> {
         let mut rec = std::mem::take(&mut self.recovery);
         let r = self.execute_many_impl(input, output, &mut rec);
@@ -1262,6 +1251,7 @@ impl<T: Real> Plan<T> {
         rec: &mut RecoveryReport,
     ) -> Result<(f64, Vec<ChunkTiming>, GpuStageTimings)> {
         use gpu_sim::{sync_streams, EngineState, Stream};
+        let state = self.pts.as_ref().ok_or(NufftError::PointsNotSet)?;
         let dev = self.dev.clone();
         let policy = self.opts.recovery;
         let trace = self.opts.trace.clone();
@@ -1280,17 +1270,9 @@ impl<T: Real> Plan<T> {
                 streams[si].memcpy_htod(&self.dev, &mut engines, bin, src)
             })?;
             let c0 = self.dev.clock();
-            with_retry(
-                &dev,
-                &policy,
-                trace.as_ref(),
-                rec,
-                "exec:chunk",
-                || match self.ttype {
-                    TransformType::Type1 => self.exec_type1_chunk(bc, bin, bgrid, bout, &mut stage),
-                    TransformType::Type2 => self.exec_type2_chunk(bc, bin, bgrid, bout, &mut stage),
-                },
-            )?;
+            with_retry(&dev, &policy, trace.as_ref(), rec, "exec:chunk", || {
+                self.exec(state, bc, bin, bgrid, bout, &mut stage)
+            })?;
             let t_exec = self.dev.clock() - c0;
             streams[si].compute(&mut engines, t_exec);
             let dst = &mut output[off * out_per..(off + bc) * out_per];
@@ -1314,20 +1296,40 @@ impl<T: Real> Plan<T> {
         Ok((wall, chunks, stage))
     }
 
-    /// One chunk of a batched type-1 execution: zero the batch grid,
-    /// spread each vector into its own fine grid, run one batched FFT,
-    /// and deconvolve each vector. Per vector this performs exactly the
-    /// operations of [`Plan::execute`]'s type-1 path, so results are
-    /// bitwise identical.
-    fn exec_type1_chunk(
+    /// The stage body for the plan's transform type, shared by
+    /// [`Plan::execute`] (`bc = 1`) and each chunk of
+    /// [`Plan::execute_many`]: `d_in` holds `bc` input vectors, the first
+    /// `bc` grids of `d_grid` are the fine grids, and `d_out` receives
+    /// `bc` output vectors. Stage times add to `stage`. The body zeroes
+    /// the grids before touching them, so a launch fault can retry it
+    /// whole.
+    fn exec(
         &self,
+        state: &PtsState<T>,
         bc: usize,
         d_in: &GpuBuffer<Complex<T>>,
         d_grid: &mut GpuBuffer<Complex<T>>,
         d_out: &mut GpuBuffer<Complex<T>>,
         stage: &mut GpuStageTimings,
-    ) -> std::result::Result<(), gpu_sim::DeviceFault> {
-        let state = self.pts.as_ref().expect("points checked");
+    ) -> std::result::Result<(), DeviceFault> {
+        match self.ttype {
+            TransformType::Type1 => self.exec_type1(state, bc, d_in, d_grid, d_out, stage),
+            TransformType::Type2 => self.exec_type2(state, bc, d_in, d_grid, d_out, stage),
+        }
+    }
+
+    /// Type 1 (paper Sec. II steps 1-3): spread each vector into its own
+    /// fine grid, run one FFT over the `bc` grids, and deconvolve each
+    /// grid into its modes (eq. 10).
+    fn exec_type1(
+        &self,
+        state: &PtsState<T>,
+        bc: usize,
+        d_in: &GpuBuffer<Complex<T>>,
+        d_grid: &mut GpuBuffer<Complex<T>>,
+        d_out: &mut GpuBuffer<Complex<T>>,
+        stage: &mut GpuStageTimings,
+    ) -> std::result::Result<(), DeviceFault> {
         let cb = std::mem::size_of::<Complex<T>>();
         let nf = self.geom.fine.total();
         let m = state.m;
@@ -1337,7 +1339,7 @@ impl<T: Real> Plan<T> {
             .iter_mut()
             .for_each(|z| *z = Complex::ZERO);
         self.dev
-            .bulk_op("memset_grid_batch", 0, bc * nf * cb, 0.0, Self::precision());
+            .bulk_op("memset_grid", 0, bc * nf * cb, 0.0, Precision::of::<T>());
         spread_batch(
             &self.dev,
             &self.eval_kernel,
@@ -1358,7 +1360,7 @@ impl<T: Real> Plan<T> {
         self.stage_span("stage.fft", t1);
         let t2 = self.dev.clock();
         for v in 0..bc {
-            deconv_type1(
+            to_modes(
                 &self.corr,
                 self.modes,
                 self.geom.fine,
@@ -1368,28 +1370,29 @@ impl<T: Real> Plan<T> {
             );
         }
         self.dev.bulk_op(
-            "deconvolve_batch",
+            "deconvolve",
             bc * n * cb,
             bc * n * cb,
             (bc * n) as f64 * 8.0,
-            Self::precision(),
+            Precision::of::<T>(),
         );
         stage.deconv += self.dev.clock() - t2;
         self.stage_span("stage.deconv", t2);
         Ok(())
     }
 
-    /// One chunk of a batched type-2 execution; see
-    /// [`Plan::exec_type1_chunk`].
-    fn exec_type2_chunk(
+    /// Type 2 (the steps in reverse): pre-correct each vector's modes
+    /// into its zero-padded fine grid (eq. 11), run one FFT over the `bc`
+    /// grids, and interpolate each grid at the points.
+    fn exec_type2(
         &self,
+        state: &PtsState<T>,
         bc: usize,
         d_in: &GpuBuffer<Complex<T>>,
         d_grid: &mut GpuBuffer<Complex<T>>,
         d_out: &mut GpuBuffer<Complex<T>>,
         stage: &mut GpuStageTimings,
-    ) -> std::result::Result<(), gpu_sim::DeviceFault> {
-        let state = self.pts.as_ref().expect("points checked");
+    ) -> std::result::Result<(), DeviceFault> {
         let cb = std::mem::size_of::<Complex<T>>();
         let nf = self.geom.fine.total();
         let m = state.m;
@@ -1399,9 +1402,9 @@ impl<T: Real> Plan<T> {
             .iter_mut()
             .for_each(|z| *z = Complex::ZERO);
         self.dev
-            .bulk_op("memset_grid_batch", 0, bc * nf * cb, 0.0, Self::precision());
+            .bulk_op("memset_grid", 0, bc * nf * cb, 0.0, Precision::of::<T>());
         for v in 0..bc {
-            deconv_type2(
+            to_grid(
                 &self.corr,
                 self.modes,
                 self.geom.fine,
@@ -1411,11 +1414,11 @@ impl<T: Real> Plan<T> {
             );
         }
         self.dev.bulk_op(
-            "precorrect_batch",
+            "precorrect",
             bc * n * cb,
             bc * n * cb,
             (bc * n) as f64 * 8.0,
-            Self::precision(),
+            Precision::of::<T>(),
         );
         stage.deconv += self.dev.clock() - t0;
         self.stage_span("stage.deconv", t0);
@@ -1439,137 +1442,6 @@ impl<T: Real> Plan<T> {
         stage.spread_interp += self.dev.clock() - t2;
         self.stage_span("stage.interp", t2);
         Ok(())
-    }
-
-    /// Dispatch the configured spreading method from `d_in` into
-    /// `d_grid` (the grid must already be zeroed and priced).
-    fn run_spread(&mut self) -> std::result::Result<(), gpu_sim::DeviceFault> {
-        let state = self.pts.as_ref().expect("points checked");
-        spread_batch(
-            &self.dev,
-            &self.eval_kernel,
-            self.geom.fine,
-            self.geom.method,
-            self.opts.tuning.threads_per_block,
-            &state.inputs(),
-            1,
-            self.d_in.as_slice(),
-            self.d_grid.as_mut_slice(),
-        )
-    }
-
-    fn exec_type1(&mut self) -> std::result::Result<(), gpu_sim::DeviceFault> {
-        // memset the fine grid
-        let cb = std::mem::size_of::<Complex<T>>();
-        let t0 = self.dev.clock();
-        self.d_grid
-            .as_mut_slice()
-            .iter_mut()
-            .for_each(|z| *z = Complex::ZERO);
-        self.dev.bulk_op(
-            "memset_grid",
-            0,
-            self.geom.fine.total() * cb,
-            0.0,
-            Self::precision(),
-        );
-        self.run_spread()?;
-        self.timings.spread_interp = self.dev.clock() - t0;
-        self.stage_span("stage.spread", t0);
-        // FFT
-        let t1 = self.dev.clock();
-        self.fft.execute(
-            &self.dev,
-            &mut self.d_grid,
-            Direction::from_sign(self.iflag),
-        );
-        self.timings.fft = self.dev.clock() - t1;
-        self.stage_span("stage.fft", t1);
-        // deconvolve + truncate
-        let t2 = self.dev.clock();
-        deconv_type1(
-            &self.corr,
-            self.modes,
-            self.geom.fine,
-            self.opts.modeord,
-            self.d_grid.as_slice(),
-            self.d_out.as_mut_slice(),
-        );
-        self.dev.bulk_op(
-            "deconvolve",
-            self.modes.total() * cb,
-            self.modes.total() * cb,
-            self.modes.total() as f64 * 8.0,
-            Self::precision(),
-        );
-        self.timings.deconv = self.dev.clock() - t2;
-        self.stage_span("stage.deconv", t2);
-        Ok(())
-    }
-
-    fn exec_type2(&mut self) -> std::result::Result<(), gpu_sim::DeviceFault> {
-        let cb = std::mem::size_of::<Complex<T>>();
-        // pre-correct + zero-pad
-        let t0 = self.dev.clock();
-        self.d_grid
-            .as_mut_slice()
-            .iter_mut()
-            .for_each(|z| *z = Complex::ZERO);
-        self.dev.bulk_op(
-            "memset_grid",
-            0,
-            self.geom.fine.total() * cb,
-            0.0,
-            Self::precision(),
-        );
-        deconv_type2(
-            &self.corr,
-            self.modes,
-            self.geom.fine,
-            self.opts.modeord,
-            self.d_in.as_slice(),
-            self.d_grid.as_mut_slice(),
-        );
-        self.dev.bulk_op(
-            "precorrect",
-            self.modes.total() * cb,
-            self.modes.total() * cb,
-            self.modes.total() as f64 * 8.0,
-            Self::precision(),
-        );
-        self.timings.deconv = self.dev.clock() - t0;
-        self.stage_span("stage.deconv", t0);
-        // FFT
-        let t1 = self.dev.clock();
-        self.fft.execute(
-            &self.dev,
-            &mut self.d_grid,
-            Direction::from_sign(self.iflag),
-        );
-        self.timings.fft = self.dev.clock() - t1;
-        self.stage_span("stage.fft", t1);
-        // interpolate
-        let t2 = self.dev.clock();
-        self.run_interp()?;
-        self.timings.spread_interp = self.dev.clock() - t2;
-        self.stage_span("stage.interp", t2);
-        Ok(())
-    }
-
-    /// Dispatch interpolation from `d_grid` into `d_out`.
-    fn run_interp(&mut self) -> std::result::Result<(), gpu_sim::DeviceFault> {
-        let state = self.pts.as_ref().expect("points checked");
-        interp_batch(
-            &self.dev,
-            &self.eval_kernel,
-            self.geom.fine,
-            self.geom.method,
-            self.opts.tuning.threads_per_block,
-            &state.inputs(),
-            1,
-            self.d_grid.as_slice(),
-            self.d_out.as_mut_slice(),
-        )
     }
 }
 
@@ -1608,73 +1480,5 @@ impl<T: Real> nufft_common::NufftPlan<T> for Plan<T> {
 
     fn backend_name(&self) -> &'static str {
         "cufinufft"
-    }
-}
-
-/// Caller-array index of mode `(j1,j2,j3)` (ascending-frequency
-/// enumeration indices) under the plan's mode ordering.
-#[inline]
-fn mode_index(modes: Shape, modeord: ModeOrder, j1: usize, j2: usize, j3: usize) -> usize {
-    match modeord {
-        ModeOrder::Centered => j1 + modes.n[0] * (j2 + modes.n[1] * j3),
-        ModeOrder::Fft => {
-            // j enumerates k = -N/2 + j; FFT order stores k at k mod N
-            let f = |j: usize, n: usize| (j + n - n / 2) % n;
-            f(j1, modes.n[0]) + modes.n[0] * (f(j2, modes.n[1]) + modes.n[1] * f(j3, modes.n[2]))
-        }
-    }
-}
-
-/// Type 1 step 3 on device data (host-functional).
-fn deconv_type1<T: Real>(
-    corr: &[Vec<f64>; 3],
-    modes: Shape,
-    fine: Shape,
-    modeord: ModeOrder,
-    grid: &[Complex<T>],
-    out: &mut [Complex<T>],
-) {
-    let k1s: Vec<(usize, f64)> = freqs(modes.n[0])
-        .enumerate()
-        .map(|(j, k)| (freq_to_bin(k, fine.n[0]), corr[0][j]))
-        .collect();
-    for (j3, k3) in freqs(modes.n[2]).enumerate() {
-        let b3 = freq_to_bin(k3, fine.n[2]) * fine.n[0] * fine.n[1];
-        let p3 = corr[2][j3];
-        for (j2, k2) in freqs(modes.n[1]).enumerate() {
-            let b2 = b3 + freq_to_bin(k2, fine.n[1]) * fine.n[0];
-            let p23 = p3 * corr[1][j2];
-            for (j1, (b1, p1)) in k1s.iter().enumerate() {
-                out[mode_index(modes, modeord, j1, j2, j3)] =
-                    grid[b2 + b1].scale(T::from_f64(p1 * p23));
-            }
-        }
-    }
-}
-
-/// Type 2 step 1 on device data (host-functional). `grid` must be zeroed.
-fn deconv_type2<T: Real>(
-    corr: &[Vec<f64>; 3],
-    modes: Shape,
-    fine: Shape,
-    modeord: ModeOrder,
-    input: &[Complex<T>],
-    grid: &mut [Complex<T>],
-) {
-    let k1s: Vec<(usize, f64)> = freqs(modes.n[0])
-        .enumerate()
-        .map(|(j, k)| (freq_to_bin(k, fine.n[0]), corr[0][j]))
-        .collect();
-    for (j3, k3) in freqs(modes.n[2]).enumerate() {
-        let b3 = freq_to_bin(k3, fine.n[2]) * fine.n[0] * fine.n[1];
-        let p3 = corr[2][j3];
-        for (j2, k2) in freqs(modes.n[1]).enumerate() {
-            let b2 = b3 + freq_to_bin(k2, fine.n[1]) * fine.n[0];
-            let p23 = p3 * corr[1][j2];
-            for (j1, (b1, p1)) in k1s.iter().enumerate() {
-                grid[b2 + b1] =
-                    input[mode_index(modes, modeord, j1, j2, j3)].scale(T::from_f64(p1 * p23));
-            }
-        }
     }
 }

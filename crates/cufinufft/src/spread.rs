@@ -106,14 +106,6 @@ impl PricedLaunches {
     }
 }
 
-fn precision<T: Real>() -> Precision {
-    if T::IS_DOUBLE {
-        Precision::Double
-    } else {
-        Precision::Single
-    }
-}
-
 /// FLOPs charged per kernel evaluation (exp + sqrt + mults on a GPU SFU).
 const FLOPS_PER_EVAL: u64 = 30;
 /// FLOPs per grid-cell update (complex scale + add).
@@ -207,7 +199,7 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
     assert_eq!(grid.len(), fine.total());
     let m = order.len();
     let cb = std::mem::size_of::<Complex<T>>();
-    let prec = precision::<T>();
+    let prec = Precision::of::<T>();
     let mut k = dev.kernel(
         name,
         LaunchConfig::new(prec, threads_per_block).with_cas_penalty(cas_atomic_penalty),
@@ -350,7 +342,7 @@ pub fn spread_sm<T: Real, K: Kernel1d>(
 ) -> Result<LaunchReport, DeviceFault> {
     assert_eq!(grid.len(), fine.total());
     let cb = std::mem::size_of::<Complex<T>>();
-    let prec = precision::<T>();
+    let prec = Precision::of::<T>();
     let w = kernel.width();
     let dim = pts.dim;
     let p = sm_tile(layout.bin_size, dim, w);

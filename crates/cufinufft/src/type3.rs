@@ -255,11 +255,7 @@ impl<T: Real> GpuType3Plan<T> {
                 got: out.len(),
             });
         }
-        let prec = if T::IS_DOUBLE {
-            Precision::Double
-        } else {
-            Precision::Single
-        };
+        let prec = Precision::of::<T>();
         let nf = self.nf;
         let cb = std::mem::size_of::<Complex<T>>();
         // transfer strengths

@@ -276,7 +276,7 @@ fn batched_execute_matches_sequential() {
         .flat_map(|t| gen_strengths::<f64>(m, 70 + t as u64))
         .collect();
     let mut batched = vec![Complex::<f64>::ZERO; shape.total() * n_transf];
-    plan.execute_batch(&input, &mut batched, n_transf).unwrap();
+    plan.execute_many(&input, &mut batched).unwrap();
     // timing accumulates across the batch
     let t_batch = plan.timings();
     assert!(t_batch.exec() > 0.0);
@@ -294,11 +294,10 @@ fn batched_execute_matches_sequential() {
     }
     // sort time is paid once, not per member
     assert!(t_batch.sort <= plan.timings().sort * 1.001 + 1e-12);
-    // invalid batch sizes rejected
-    assert!(plan.execute_batch(&input, &mut batched, 0).is_err());
-    assert!(plan
-        .execute_batch(&input[..m], &mut batched, n_transf)
-        .is_err());
+    // invalid batch sizes rejected: an empty batch, and an input of one
+    // vector against an output sized for three
+    assert!(plan.execute_many(&[], &mut batched).is_err());
+    assert!(plan.execute_many(&input[..m], &mut batched).is_err());
 }
 
 #[test]
@@ -469,9 +468,11 @@ fn pipelined_batches_overlap_transfers() {
     for w in bt.chunks.windows(2) {
         assert!(w[1].start >= w[0].start, "chunks scheduled in order");
     }
-    // numerics identical to the plain serial batch
+    // numerics identical to sequential single executes
     let mut out2 = vec![Complex::<f32>::ZERO; n * n_transf];
-    plan.execute_batch(&input, &mut out2, n_transf).unwrap();
+    for (cs, f) in input.chunks_exact(m).zip(out2.chunks_exact_mut(n)) {
+        plan.execute(cs, f).unwrap();
+    }
     for (a, b) in out.iter().zip(out2.iter()) {
         assert_eq!(a.re, b.re);
         assert_eq!(a.im, b.im);

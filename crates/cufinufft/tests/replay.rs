@@ -4,7 +4,9 @@
 //! the same outputs to the bit and the same timeline records as a fresh
 //! plan that prices every launch — and must never apply where a launch
 //! has to run in full: under hazard checking, and on points bound since
-//! the last pricing.
+//! the last pricing. The last test pins the device clock, every stage
+//! timing and an output digest of single and batched executions to the
+//! bit.
 
 use cufinufft::{Method, Plan, RecoveryReport, TransformType};
 use gpu_sim::{Device, FaultMode, FaultPlan, HazardMode, OpKind, TimelineRecord};
@@ -228,4 +230,147 @@ fn launch_faults_hit_replayed_executes() {
     assert_eq!(report.retries, 1);
     assert_bits_eq(&out, &want, "faulted execute");
     assert_records_eq(&recs, &want_recs, "faulted execute");
+}
+
+/// Bit patterns of what one execution leaves behind: the device clock,
+/// every `GpuStageTimings` field, and an FNV-1a digest of the output's
+/// `to_bits`.
+fn pin_bits<T: Real>(plan: &Plan<T>, out: &[Complex<T>]) -> [u64; 12] {
+    let t = plan.timings();
+    let digest = out
+        .iter()
+        .flat_map(|z| [z.re.to_f64().to_bits(), z.im.to_f64().to_bits()])
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ b).wrapping_mul(0x0100_0000_01b3)
+        });
+    [
+        plan.device().clock().to_bits(),
+        t.alloc.to_bits(),
+        t.h2d_pts.to_bits(),
+        t.sort.to_bits(),
+        t.h2d_data.to_bits(),
+        t.spread_interp.to_bits(),
+        t.fft.to_bits(),
+        t.deconv.to_bits(),
+        t.d2h.to_bits(),
+        t.batches as u64,
+        t.pipe_wall.to_bits(),
+        digest,
+    ]
+}
+
+/// Build → `set_pts` → `execute` on a fresh device; the pins after the
+/// execute and after a following two-vector `execute_many`.
+fn pinned_run<T: Real>(
+    ttype: TransformType,
+    modes: &[usize],
+    eps: f64,
+    method: Method,
+    seed: u64,
+) -> [[u64; 12]; 2] {
+    let dev = Device::v100();
+    let mut plan = Plan::<T>::builder(ttype, modes)
+        .eps(eps)
+        .method(method)
+        .build(&dev)
+        .unwrap();
+    let m = 1500;
+    let n: usize = modes.iter().product();
+    let (len_in, len_out) = match ttype {
+        TransformType::Type1 => (m, n),
+        TransformType::Type2 => (n, m),
+    };
+    let pts: Points<T> = gen_points(
+        PointDist::Rand,
+        modes.len(),
+        m,
+        plan.fine_grid_shape(),
+        seed,
+    );
+    plan.set_pts(&pts).unwrap();
+    let mut out = vec![Complex::<T>::ZERO; len_out];
+    plan.execute(&gen_strengths::<T>(len_in, seed + 1), &mut out)
+        .unwrap();
+    let single = pin_bits(&plan, &out);
+    let mut outs = vec![Complex::<T>::ZERO; 2 * len_out];
+    plan.execute_many(&gen_strengths::<T>(2 * len_in, seed + 2), &mut outs)
+        .unwrap();
+    [single, pin_bits(&plan, &outs)]
+}
+
+/// Simulated times and outputs of single and batched executions, pinned
+/// to the bit on a 2D f32 SM plan and a 3D f64 GM-sort plan of both
+/// types. A change to any stage's pricing, to the order of device
+/// operations or to the arithmetic of an output moves a pin.
+#[test]
+fn execute_pins_clock_stage_timings_and_outputs() {
+    use TransformType::{Type1, Type2};
+    let got = [
+        pinned_run::<f32>(Type1, &[32, 24], 1e-5, Method::Sm, 11),
+        pinned_run::<f32>(Type2, &[32, 24], 1e-5, Method::Sm, 12),
+        pinned_run::<f64>(Type1, &[12, 10, 8], 1e-9, Method::GmSort, 13),
+        pinned_run::<f64>(Type2, &[12, 10, 8], 1e-9, Method::GmSort, 14),
+    ];
+    // recorded before the single and batched paths shared one stage
+    // body, so the pins also hold that merge to bit-identity
+    #[rustfmt::skip]
+    let want: [[[u64; 12]; 2]; 4] = [
+        [
+            [
+                0x3f4d18ad6f574ccb, 0x3f4a37657c438dee, 0x3ef6052502eec7c0,
+                0x3eef8e2f39323e00, 0x3ee711947cfa26c0, 0x3ef9629344a98720,
+                0x3eca15036fcb4900, 0x3ec947c570e83100, 0x3ee60b964765d640,
+                0x0000000000000001, 0x0000000000000000, 0x980f17400a8b9b25,
+            ],
+            [
+                0x3f54cf7ff3d96bea, 0x3f52063041c0ccd0, 0x3ef6052502eec7c0,
+                0x3eef8e2f39323e00, 0x3ef711947cfa26a3, 0x3f09629344a98740,
+                0x3eda15036fcb4800, 0x3ed947c570e83000, 0x3ef60b964765d65a,
+                0x0000000000000002, 0x3f158abb88ebfac0, 0xdf0bddc1a4351325,
+            ],
+        ],
+        [
+            [
+                0x3f4c73b193c91e44, 0x3f4a37657c438dee, 0x3ef6052502eec7c0,
+                0x3ee9438896ee1280, 0x3ee60b964765d640, 0x3ed2ef20d7b77180,
+                0x3eca15036fcb4900, 0x3ed9566e70d3d700, 0x3ee711947cfa26c0,
+                0x0000000000000001, 0x0000000000000000, 0x5b1f18407a464b85,
+            ],
+            [
+                0x3f53f130c50d36ce, 0x3f52063041c0cccf, 0x3ef6052502eec7c0,
+                0x3ee9438896ee1280, 0x3ef60b964765d65a, 0x3ee2ef20d7b77200,
+                0x3eda15036fcb4800, 0x3ee9566e70d3d700, 0x3ef711947cfa26a3,
+                0x0000000000000002, 0x3f099b4ef1343a80, 0x4832ca6aaa08c7e5,
+            ],
+        ],
+        [
+            [
+                0x3f5109b2339e4c54, 0x3f4a39053cfd4ccc, 0x3f014d2f5dbb9d10,
+                0x3ee9521b9959d780, 0x3ee92a737110e440, 0x3f258714833dc6f8,
+                0x3ed0e0bcb2922800, 0x3ec973c070ab2400, 0x3ee7a7e765297a80,
+                0x0000000000000001, 0x0000000000000000, 0x41ee3ffb01541245,
+            ],
+            [
+                0x3f5bf38205d80f4a, 0x3f5207b36066b36e, 0x3f014d2f5dbb9d10,
+                0x3ee9521b9959d780, 0x3ef92a737110e454, 0x3f358714833dc6f0,
+                0x3ee0e0bcb2922800, 0x3ed973c070ab2400, 0x3ef7a7e765297a78,
+                0x0000000000000002, 0x3f37fa7c4146d7b8, 0xb0ebfa53461522b2,
+            ],
+        ],
+        [
+            [
+                0x3f4e1d6d91049fa6, 0x3f4a39053cfd4ccc, 0x3f014d2f5dbb9d10,
+                0x3ee9521b9959d780, 0x3ee7a7e765297a80, 0x3f051355628649b0,
+                0x3ed0e0bcb2922800, 0x3eda065a6fdfa280, 0x3ee92a737110e440,
+                0x0000000000000001, 0x0000000000000000, 0x414c4121bbb482ed,
+            ],
+            [
+                0x3f56028fc48419c9, 0x3f5207b36066b36e, 0x3f014d2f5dbb9d10,
+                0x3ee9521b9959d780, 0x3ef7a7e765297a78, 0x3f151355628649c0,
+                0x3ee0e0bcb2922800, 0x3eea065a6fdfa200, 0x3ef92a737110e454,
+                0x0000000000000002, 0x3f204541d0cde770, 0xe31d53c93a21ece9,
+            ],
+        ],
+    ];
+    assert_eq!(got, want, "pins moved; actual:\n{got:#018x?}");
 }

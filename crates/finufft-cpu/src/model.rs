@@ -14,6 +14,7 @@
 //! model reflects that (kernel evaluation is folded into the per-point
 //! constant).
 
+use nufft_common::real::Real;
 use nufft_common::shape::Shape;
 
 /// Precision selector mirroring `gpu_sim::Precision` without the
@@ -22,6 +23,17 @@ use nufft_common::shape::Shape;
 pub enum CpuPrecision {
     Single,
     Double,
+}
+
+impl CpuPrecision {
+    /// The precision of a concrete scalar type.
+    pub fn of<T: Real>() -> Self {
+        if T::IS_DOUBLE {
+            CpuPrecision::Double
+        } else {
+            CpuPrecision::Single
+        }
+    }
 }
 
 /// CPU hardware/cost constants.

@@ -8,10 +8,12 @@ use crate::spread::{interp, spread};
 use nufft_common::complex::Complex;
 use nufft_common::error::{NufftError, Result};
 use nufft_common::real::Real;
-use nufft_common::shape::{freq_to_bin, freqs, Shape};
+use nufft_common::shape::Shape;
 use nufft_common::smooth::{fine_grid_size_with, FineSizing};
+use nufft_common::spec::ModeOrder;
 use nufft_common::workload::Points;
 use nufft_fft::{Direction, FftNd};
+use nufft_kernels::deconv::{to_grid, to_modes};
 use nufft_kernels::{EsKernel, EvalKernel, Kernel1d, KernelEval};
 use std::time::Instant;
 
@@ -129,10 +131,7 @@ impl<T: Real, K: Kernel1d> Plan<T, K> {
             return Err(NufftError::BadModes("zero-size mode dimension".into()));
         }
         if opts.upsampfac <= 1.0 || opts.upsampfac.is_nan() {
-            return Err(NufftError::BadOptions(format!(
-                "upsampfac must exceed 1, got {}",
-                opts.upsampfac
-            )));
+            return Err(NufftError::BadUpsampfac(opts.upsampfac));
         }
         let modes = Shape::from_slice(modes);
         let fine = modes
@@ -270,13 +269,27 @@ impl<T: Real, K: Kernel1d> Plan<T, K> {
                 self.fft.process(&mut grid, dir);
                 timings.fft = t1.elapsed().as_secs_f64();
                 let t2 = Instant::now();
-                self.deconvolve_out(&grid, output);
+                to_modes(
+                    &self.corr,
+                    self.modes,
+                    self.fine,
+                    ModeOrder::Centered,
+                    &grid,
+                    output,
+                );
                 timings.deconv = t2.elapsed().as_secs_f64();
             }
             TransformType::Type2 => {
                 let t0 = Instant::now();
                 grid.iter_mut().for_each(|z| *z = Complex::ZERO);
-                self.precorrect_in(input, &mut grid);
+                to_grid(
+                    &self.corr,
+                    self.modes,
+                    self.fine,
+                    ModeOrder::Centered,
+                    input,
+                    &mut grid,
+                );
                 timings.deconv = t0.elapsed().as_secs_f64();
                 let t1 = Instant::now();
                 self.fft.process(&mut grid, dir);
@@ -344,54 +357,6 @@ impl<T: Real, K: Kernel1d> Plan<T, K> {
         }
         self.timings = acc;
         Ok(())
-    }
-
-    /// Type 1 step 3: truncate to the central modes and apply the
-    /// correction factors (eq. 10).
-    fn deconvolve_out(&self, grid: &[Complex<T>], output: &mut [Complex<T>]) {
-        let fine = self.fine;
-        let modes = self.modes;
-        let k1s: Vec<(usize, f64)> = freqs(modes.n[0])
-            .enumerate()
-            .map(|(j, k)| (freq_to_bin(k, fine.n[0]), self.corr[0][j]))
-            .collect();
-        let mut idx = 0usize;
-        for (j3, k3) in freqs(modes.n[2]).enumerate() {
-            let b3 = freq_to_bin(k3, fine.n[2]) * fine.n[0] * fine.n[1];
-            let p3 = self.corr[2][j3];
-            for (j2, k2) in freqs(modes.n[1]).enumerate() {
-                let b2 = b3 + freq_to_bin(k2, fine.n[1]) * fine.n[0];
-                let p23 = p3 * self.corr[1][j2];
-                for (b1, p1) in &k1s {
-                    output[idx] = grid[b2 + b1].scale(T::from_f64(p1 * p23));
-                    idx += 1;
-                }
-            }
-        }
-    }
-
-    /// Type 2 step 1: pre-correct and zero-pad into the fine grid
-    /// (eq. 11). The grid must be zeroed beforehand.
-    fn precorrect_in(&self, input: &[Complex<T>], grid: &mut [Complex<T>]) {
-        let fine = self.fine;
-        let modes = self.modes;
-        let k1s: Vec<(usize, f64)> = freqs(modes.n[0])
-            .enumerate()
-            .map(|(j, k)| (freq_to_bin(k, fine.n[0]), self.corr[0][j]))
-            .collect();
-        let mut idx = 0usize;
-        for (j3, k3) in freqs(modes.n[2]).enumerate() {
-            let b3 = freq_to_bin(k3, fine.n[2]) * fine.n[0] * fine.n[1];
-            let p3 = self.corr[2][j3];
-            for (j2, k2) in freqs(modes.n[1]).enumerate() {
-                let b2 = b3 + freq_to_bin(k2, fine.n[1]) * fine.n[0];
-                let p23 = p3 * self.corr[1][j2];
-                for (b1, p1) in &k1s {
-                    grid[b2 + b1] = input[idx].scale(T::from_f64(p1 * p23));
-                    idx += 1;
-                }
-            }
-        }
     }
 }
 

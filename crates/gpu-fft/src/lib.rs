@@ -38,14 +38,6 @@ impl<T: Real> GpuFftPlan<T> {
         self.shape
     }
 
-    fn precision() -> Precision {
-        if T::IS_DOUBLE {
-            Precision::Double
-        } else {
-            Precision::Single
-        }
-    }
-
     /// Count an FFT dispatch in the device's trace session, if attached.
     fn trace_dispatch(&self, dev: &Device, ntransf: usize) {
         if let Some(trace) = dev.trace() {
@@ -57,21 +49,12 @@ impl<T: Real> GpuFftPlan<T> {
         }
     }
 
-    /// Execute in place on a device buffer, charging the device clock.
+    /// Execute in place on a device buffer, charging the device clock:
+    /// [`GpuFftPlan::execute_many`] with one grid, on a buffer of exactly
+    /// one grid.
     pub fn execute(&self, dev: &Device, data: &mut GpuBuffer<Complex<T>>, dir: Direction) {
         assert_eq!(data.len(), self.shape.total(), "buffer/plan shape mismatch");
-        self.trace_dispatch(dev, 1);
-        self.fft.process(data.as_mut_slice(), dir);
-        dev.bulk_op(
-            match dir {
-                Direction::Forward => "cufft_fwd",
-                Direction::Backward => "cufft_bwd",
-            },
-            self.pass_bytes(1),
-            self.pass_bytes(1),
-            self.batch_flops(1),
-            Self::precision(),
-        );
+        self.execute_many(dev, data, 1, dir);
     }
 
     /// Execute `ntransf` stacked grids in place (`cufftPlanMany`):
@@ -97,13 +80,13 @@ impl<T: Real> GpuFftPlan<T> {
         }
         dev.bulk_op(
             match dir {
-                Direction::Forward => "cufft_many_fwd",
-                Direction::Backward => "cufft_many_bwd",
+                Direction::Forward => "cufft_fwd",
+                Direction::Backward => "cufft_bwd",
             },
             self.pass_bytes(ntransf),
             self.pass_bytes(ntransf),
             self.batch_flops(ntransf),
-            Self::precision(),
+            Precision::of::<T>(),
         );
     }
 

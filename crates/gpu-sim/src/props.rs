@@ -7,6 +7,8 @@
 //! absolute scale so throughputs land in the paper's regime
 //! (~1e9 points/s for 2D spreading at w=6).
 
+use nufft_common::real::Real;
+
 /// Working precision of a kernel, used to pick FLOP rates and element
 /// sizes in the cost model.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -16,6 +18,16 @@ pub enum Precision {
 }
 
 impl Precision {
+    /// The precision of a concrete scalar type (the device-side twin of
+    /// `nufft_common::spec::Precision::of`).
+    pub fn of<T: Real>() -> Self {
+        if T::IS_DOUBLE {
+            Precision::Double
+        } else {
+            Precision::Single
+        }
+    }
+
     /// Bytes per *real* scalar.
     pub fn real_bytes(self) -> usize {
         match self {

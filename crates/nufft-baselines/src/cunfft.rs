@@ -25,12 +25,13 @@ use gpu_sim::{Device, GpuBuffer, Precision};
 use nufft_common::complex::Complex;
 use nufft_common::error::{NufftError, Result};
 use nufft_common::real::Real;
-use nufft_common::shape::{freq_to_bin, freqs, Shape};
+use nufft_common::shape::Shape;
 use nufft_common::smooth::fine_grid_size;
+use nufft_common::spec::ModeOrder;
 use nufft_common::workload::Points;
 use nufft_common::TransformType;
 use nufft_fft::Direction;
-use nufft_kernels::deconv::correction_rows;
+use nufft_kernels::deconv::{correction_rows, to_grid, to_modes};
 use nufft_kernels::GaussianKernel;
 
 /// Replay penalty of CUNFFT's atomic accumulation under same-sector
@@ -184,11 +185,7 @@ impl<T: Real> CunfftPlan<T> {
                 got: input.len(),
             });
         }
-        let prec = if T::IS_DOUBLE {
-            Precision::Double
-        } else {
-            Precision::Single
-        };
+        let prec = Precision::of::<T>();
         let cb = std::mem::size_of::<Complex<T>>();
         let t0 = self.dev.clock();
         if self.d_in.len() != want_in {
@@ -236,13 +233,13 @@ impl<T: Real> CunfftPlan<T> {
                 self.fft.execute(&self.dev, &mut self.d_grid, dir);
                 self.timings.fft = self.dev.clock() - t;
                 let t = self.dev.clock();
-                deconv_copy(
+                to_modes(
                     &self.corr,
                     self.modes,
                     self.fine,
+                    ModeOrder::Centered,
                     self.d_grid.as_slice(),
                     self.d_out.as_mut_slice(),
-                    false,
                 );
                 self.dev
                     .bulk_op("cunfft_deconv", n * cb, n * cb, n as f64 * 8.0, prec);
@@ -256,13 +253,13 @@ impl<T: Real> CunfftPlan<T> {
                     .for_each(|z| *z = Complex::ZERO);
                 self.dev
                     .bulk_op("cunfft_memset", 0, self.fine.total() * cb, 0.0, prec);
-                deconv_copy(
+                to_grid(
                     &self.corr,
                     self.modes,
                     self.fine,
+                    ModeOrder::Centered,
                     self.d_in.as_slice(),
                     self.d_grid.as_mut_slice(),
-                    true,
                 );
                 self.dev
                     .bulk_op("cunfft_precorrect", n * cb, n * cb, n as f64 * 8.0, prec);
@@ -326,38 +323,5 @@ impl<T: Real> nufft_common::NufftPlan<T> for CunfftPlan<T> {
 
     fn backend_name(&self) -> &'static str {
         "cunfft"
-    }
-}
-
-/// Shared mode<->fine-grid copy with correction factors. `into_grid`
-/// selects the type-2 direction (write into the zero-padded grid).
-pub(crate) fn deconv_copy<T: Real>(
-    corr: &[Vec<f64>; 3],
-    modes: Shape,
-    fine: Shape,
-    src: &[Complex<T>],
-    dst: &mut [Complex<T>],
-    into_grid: bool,
-) {
-    let k1s: Vec<(usize, f64)> = freqs(modes.n[0])
-        .enumerate()
-        .map(|(j, k)| (freq_to_bin(k, fine.n[0]), corr[0][j]))
-        .collect();
-    let mut idx = 0usize;
-    for (j3, k3) in freqs(modes.n[2]).enumerate() {
-        let b3 = freq_to_bin(k3, fine.n[2]) * fine.n[0] * fine.n[1];
-        let p3 = corr[2][j3];
-        for (j2, k2) in freqs(modes.n[1]).enumerate() {
-            let b2 = b3 + freq_to_bin(k2, fine.n[1]) * fine.n[0];
-            let p23 = p3 * corr[1][j2];
-            for (b1, p1) in &k1s {
-                if into_grid {
-                    dst[b2 + b1] = src[idx].scale(T::from_f64(p1 * p23));
-                } else {
-                    dst[idx] = src[b2 + b1].scale(T::from_f64(p1 * p23));
-                }
-                idx += 1;
-            }
-        }
     }
 }

@@ -25,10 +25,11 @@ use nufft_common::error::{NufftError, Result};
 use nufft_common::real::Real;
 use nufft_common::shape::Shape;
 use nufft_common::smooth::fine_grid_size;
+use nufft_common::spec::ModeOrder;
 use nufft_common::workload::Points;
 use nufft_common::TransformType;
 use nufft_fft::Direction;
-use nufft_kernels::deconv::correction_rows;
+use nufft_kernels::deconv::{correction_rows, to_grid, to_modes};
 use nufft_kernels::{grid_coord, spread_footprint, KaiserBesselKernel, Kernel1d};
 
 /// gpuNUFFT's fixed sector width in fine-grid cells.
@@ -263,11 +264,7 @@ impl<T: Real> GpunufftPlan<T> {
                 got: input.len(),
             });
         }
-        let prec = if T::IS_DOUBLE {
-            Precision::Double
-        } else {
-            Precision::Single
-        };
+        let prec = Precision::of::<T>();
         let cb = std::mem::size_of::<Complex<T>>();
         let t0 = self.dev.clock();
         if self.d_in.len() != want_in {
@@ -298,13 +295,13 @@ impl<T: Real> GpunufftPlan<T> {
                 self.fft.execute(&self.dev, &mut self.d_grid, dir);
                 self.timings.fft = self.dev.clock() - t;
                 let t = self.dev.clock();
-                crate::cunfft::deconv_copy(
+                to_modes(
                     &self.corr,
                     self.modes,
                     self.fine,
+                    ModeOrder::Centered,
                     self.d_grid.as_slice(),
                     self.d_out.as_mut_slice(),
-                    false,
                 );
                 self.dev
                     .bulk_op("gpunufft_deconv", n * cb, n * cb, n as f64 * 8.0, prec);
@@ -318,13 +315,13 @@ impl<T: Real> GpunufftPlan<T> {
                     .for_each(|z| *z = Complex::ZERO);
                 self.dev
                     .bulk_op("gpunufft_memset", 0, self.fine.total() * cb, 0.0, prec);
-                crate::cunfft::deconv_copy(
+                to_grid(
                     &self.corr,
                     self.modes,
                     self.fine,
+                    ModeOrder::Centered,
                     self.d_in.as_slice(),
                     self.d_grid.as_mut_slice(),
-                    true,
                 );
                 self.dev
                     .bulk_op("gpunufft_precorrect", n * cb, n * cb, n as f64 * 8.0, prec);
@@ -376,11 +373,7 @@ impl<T: Real> GpunufftPlan<T> {
         let dim = self.modes.dim;
         let [n1, n2, _] = fine.n;
         let cb = std::mem::size_of::<Complex<T>>();
-        let prec = if T::IS_DOUBLE {
-            Precision::Double
-        } else {
-            Precision::Single
-        };
+        let prec = Precision::of::<T>();
         let strengths = self.d_in.as_slice();
         let grid = self.d_grid.as_mut_slice();
         let cells_per_sector = SECTOR_WIDTH.pow(dim as u32);

@@ -83,12 +83,13 @@ else
     emit_conformance_json -- --nocapture
 fi
 
-# Committed results vs their harnesses: the SM and sigma ablations and
-# the Fig. 2 and Fig. 3 harnesses report simulated V100 time and
-# seeded errors, which are deterministic, so rerunning them must rewrite
-# their CSVs under results/ byte for byte. RESULTS=1 reruns them and
-# fails on any difference (about 5.5 min on 2 cores with a warm build).
-RESULT_BENCHES=(ablation_bins ablation_msub ablation_interp_sm ablation_sigma fig2_spread fig3_interp)
+# Committed results vs their harnesses: the SM and sigma ablations, the
+# Fig. 2 and Fig. 3 harnesses and the batched-execution table report
+# simulated V100 time and seeded errors, which are deterministic, so
+# rerunning them must rewrite their CSVs under results/ byte for byte.
+# RESULTS=1 reruns them and fails on any difference (about 5.5 min on 2
+# cores with a warm build).
+RESULT_BENCHES=(ablation_bins ablation_msub ablation_interp_sm ablation_sigma fig2_spread fig3_interp batch_overlap)
 if [[ "${RESULTS:-0}" != "0" ]]; then
   echo "== RESULTS=1 regenerate simulated-time CSVs and diff against the committed files"
   csvs=()

@@ -4,11 +4,11 @@
 //!
 //! For even `N` the ascending-frequency mode range `-N/2 .. N/2-1` is
 //! asymmetric — the Nyquist mode `-N/2` has no positive partner — while
-//! odd `N` is symmetric. An off-by-one in `mode_index` /
-//! `freq_to_bin` or a correction factor indexed with the wrong parity
-//! shows up exactly at these modes, so each test drives a *single* pure
-//! mode through type 2 and back through type 1 and checks both legs
-//! against the direct NUDFT oracle.
+//! odd `N` is symmetric. An off-by-one in the bin or mode-order offsets
+//! of `nufft_kernels::deconv` or a correction factor indexed with the
+//! wrong parity shows up exactly at these modes, so each test drives a
+//! *single* pure mode through type 2 and back through type 1 and checks
+//! both legs against the direct NUDFT oracle.
 
 use cufinufft::opts::{Method, ModeOrder};
 use cufinufft::plan::Plan;
