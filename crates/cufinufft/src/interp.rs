@@ -279,7 +279,7 @@ pub fn interp_batch<T: Real, K: Kernel1d>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bins::gpu_bin_sort;
     use nufft_common::workload::{gen_points, gen_strengths, PointDist, Points};
@@ -426,7 +426,7 @@ mod tests {
     /// A launch report as the bit patterns the pins below hold: duration,
     /// the seven `Breakdown` terms, L2 and DRAM bytes, flops, global
     /// atomics, hotspot count and blocks.
-    fn report_bits(r: &LaunchReport) -> [u64; 14] {
+    pub(crate) fn report_bits(r: &LaunchReport) -> [u64; 14] {
         let b = &r.breakdown;
         [
             r.duration.to_bits(),
@@ -568,14 +568,186 @@ mod tests {
             assert_eq!(report_bits(&r), pin_3d_f64_rand, "threads={threads}");
             outs64.push(out);
         }
-        let bits32 = |v: &[Complex<f32>]| -> Vec<(u32, u32)> {
-            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        assert_eq!(complex_bits(&outs32[0]), complex_bits(&outs32[1]));
+        assert_eq!(complex_bits(&outs64[0]), complex_bits(&outs64[1]));
+    }
+
+    /// The accounting-pin cases shared with `spread::tests`: 2D f32
+    /// clustered points (footprints wrap at x = 0), 3D f64 uniform
+    /// points with x-wrapped footprints, and an odd `n1 = 33` whose
+    /// 32-byte sectors straddle grid rows (and whose 40-cell SM tiles
+    /// wrap the x-axis more than once). Each entry: distribution, fine
+    /// grid, kernel width, point count, bin size.
+    pub(crate) const PIN_CASES: [(PointDist, &[usize], usize, usize, [usize; 3]); 3] = [
+        (PointDist::Cluster, &[96, 96], 6, 3000, [32, 32, 1]),
+        (PointDist::Rand, &[24, 20, 18], 5, 600, [8, 8, 2]),
+        (PointDist::Rand, &[33, 30], 7, 800, [32, 16, 1]),
+    ];
+
+    /// `interp_GM` and `interp_GM-sort` on pin case `case` with `threads`
+    /// host workers: both launch reports and both outputs.
+    fn gm_interp_pins<T: Real>(
+        case: usize,
+        threads: usize,
+    ) -> ([[u64; 14]; 2], [Vec<Complex<T>>; 2]) {
+        let (dist, n, w, m, bins) = PIN_CASES[case];
+        let fine = Shape::from_slice(n);
+        let dev = Device::v100();
+        dev.set_host_parallelism(threads);
+        let kernel = EsKernel::with_width(w);
+        let pts = gen_points::<T>(dist, fine.dim, m, fine, 71 + case as u64);
+        let grid = gen_strengths::<T>(fine.total(), 72 + case as u64);
+        let natural: Vec<u32> = (0..m as u32).collect();
+        let sort = gpu_bin_sort(&dev, &pts, fine, bins);
+        let run = |name: &str, order: &[u32]| {
+            let mut out = vec![Complex::<T>::ZERO; m];
+            let r = interp_gm(
+                &dev,
+                name,
+                &kernel,
+                fine,
+                &pts_ref(&pts),
+                &grid,
+                order,
+                &mut out,
+                128,
+            )
+            .unwrap();
+            (report_bits(&r), out)
         };
-        let bits64 = |v: &[Complex<f64>]| -> Vec<(u64, u64)> {
-            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
-        };
-        assert_eq!(bits32(&outs32[0]), bits32(&outs32[1]));
-        assert_eq!(bits64(&outs64[0]), bits64(&outs64[1]));
+        let (gm, out_gm) = run("interp_GM", &natural);
+        let (gs, out_gs) = run("interp_GM-sort", &sort.perm);
+        ([gm, gs], [out_gm, out_gs])
+    }
+
+    #[test]
+    fn gm_interp_reports_are_pinned() {
+        // Launch prices pinned bit for bit, per case: [interp_GM,
+        // interp_GM-sort]. Host workers must change neither the price
+        // nor the output.
+        let pins: [[[u64; 14]; 2]; 3] = [
+            [
+                [
+                    0x3ed24346043d83d1,
+                    0x3eb6b8312ed4469d,
+                    0x3e7ab5dce1526653,
+                    0x3e5d51ffd74c861c,
+                    0x3e9a9fd9a2e0c2c0,
+                    0,
+                    0,
+                    0x3ec92a737110e454,
+                    0x41084b0000000000,
+                    0x40d8000000000000,
+                    0x413da9c000000000,
+                    0,
+                    0,
+                    24,
+                ],
+                [
+                    0x3ed24346043d83d1,
+                    0x3eb6b8312ed4469d,
+                    0x3e7ab5dce1526653,
+                    0x3e5d51ffd74c861c,
+                    0x3e9a9fd9a2e0c2c0,
+                    0,
+                    0,
+                    0x3ec92a737110e454,
+                    0x41084b0000000000,
+                    0x40d8000000000000,
+                    0x413da9c000000000,
+                    0,
+                    0,
+                    24,
+                ],
+            ],
+            [
+                [
+                    0x3eefd29938d34632,
+                    0x3ee987fc5c8f0d1d,
+                    0x3ea33cfcca1829dc,
+                    0x3e849da7e361ce4c,
+                    0x3e97d49b4aacbaf4,
+                    0,
+                    0,
+                    0x3ec92a737110e454,
+                    0x41317f4000000000,
+                    0x4100e00000000000,
+                    0x412a8ce000000000,
+                    0,
+                    0,
+                    5,
+                ],
+                [
+                    0x3ee300450417cffe,
+                    0x3ed96b504fa72dd2,
+                    0x3e962f409f9aba6f,
+                    0x3e849da7e361ce4c,
+                    0x3e97d49b4aacbaf4,
+                    0,
+                    0,
+                    0x3ec92a737110e454,
+                    0x41242d4000000000,
+                    0x4100e00000000000,
+                    0x412a8ce000000000,
+                    0,
+                    0,
+                    5,
+                ],
+            ],
+            [
+                [
+                    0x3ed3b345f7cbbc6f,
+                    0x3ebc7830fd0d2914,
+                    0x3e79eca6f59ce92e,
+                    0x3e42ef9fe5b6c148,
+                    0x3e81cb1e9e2839ac,
+                    0,
+                    0,
+                    0x3ec92a737110e454,
+                    0x4107940000000000,
+                    0x40bf000000000000,
+                    0x4123d30000000000,
+                    0,
+                    0,
+                    7,
+                ],
+                [
+                    0x3ed3b345f7cbbc6f,
+                    0x3ebc7830fd0d2914,
+                    0x3e74ebb89c8f0a0b,
+                    0x3e42ef9fe5b6c148,
+                    0x3e81cb1e9e2839ac,
+                    0,
+                    0,
+                    0x3ec92a737110e454,
+                    0x4103070000000000,
+                    0x40bf000000000000,
+                    0x4123d30000000000,
+                    0,
+                    0,
+                    7,
+                ],
+            ],
+        ];
+        fn check<T: Real>(case: usize, want: &[[u64; 14]; 2]) {
+            let (bits, outs) = gm_interp_pins::<T>(case, 1);
+            assert_eq!(&bits, want, "case {case}");
+            let (bits4, outs4) = gm_interp_pins::<T>(case, 4);
+            assert_eq!(&bits4, want, "case {case} threads=4");
+            for (a, b) in outs.iter().zip(&outs4) {
+                assert_eq!(complex_bits(a), complex_bits(b), "case {case}");
+            }
+        }
+        check::<f32>(0, &pins[0]);
+        check::<f64>(1, &pins[1]);
+        check::<f32>(2, &pins[2]);
+    }
+
+    /// Bit patterns of a complex vector, widened to f64 (exact for f32).
+    pub(crate) fn complex_bits<T: Real>(v: &[Complex<T>]) -> Vec<(u64, u64)> {
+        v.iter()
+            .map(|c| (c.re.to_f64().to_bits(), c.im.to_f64().to_bits()))
+            .collect()
     }
 
     #[test]

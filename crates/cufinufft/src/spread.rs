@@ -598,6 +598,7 @@ pub fn spread_batch<T: Real, K: Kernel1d>(
 mod tests {
     use super::*;
     use crate::bins::{build_subproblems, gpu_bin_sort};
+    use crate::interp::tests::{complex_bits, report_bits, PIN_CASES};
     use nufft_common::metrics::rel_l2;
     use nufft_common::workload::{gen_points, gen_strengths, PointDist, Points};
     use nufft_kernels::{EsKernel, MAX_W};
@@ -753,6 +754,100 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `spread_SM` on `interp::tests::PIN_CASES[case]` with `threads`
+    /// host workers: the launch report and the spread grid.
+    fn sm_spread_pins<T: Real>(case: usize, threads: usize) -> ([u64; 14], Vec<Complex<T>>) {
+        let (dist, n, w, m, bins) = PIN_CASES[case];
+        let fine = Shape::from_slice(n);
+        let dev = Device::v100();
+        dev.set_host_parallelism(threads);
+        let kernel = EsKernel::with_width(w);
+        let pts = gen_points::<T>(dist, fine.dim, m, fine, 81 + case as u64);
+        let cs = gen_strengths::<T>(m, 82 + case as u64);
+        let sort = gpu_bin_sort(&dev, &pts, fine, bins);
+        let subs = build_subproblems(&dev, &sort, 256);
+        let mut grid = vec![Complex::<T>::ZERO; fine.total()];
+        let r = spread_sm(
+            &dev,
+            &kernel,
+            fine,
+            &pts_ref(&pts),
+            &cs,
+            &sort.perm,
+            &sort.layout,
+            &subs,
+            &mut grid,
+        )
+        .unwrap();
+        (report_bits(&r), grid)
+    }
+
+    #[test]
+    fn sm_spread_reports_are_pinned() {
+        // Launch prices pinned bit for bit; host workers must change
+        // neither the price nor the spread grid.
+        let pins: [[u64; 14]; 3] = [
+            [
+                0x3eeac9f0b27bc3fb,
+                0x3ee47f53d6378ae6,
+                0x3e7bfc6af2c04a9c,
+                0x3e6b1b23da5f6951,
+                0x3e9b195b7e4cfcf0,
+                0x3e99c511dc3a41e0,
+                0x3e7f027954f42ed7,
+                0x3ec92a737110e454,
+                0x4109740000000000,
+                0x40e6300000000000,
+                0x413e312000000000,
+                0x8760,
+                96,
+                12,
+            ],
+            [
+                0x3ee62ece4634f2c5,
+                0x3edfc862d3e17360,
+                0x3eb41c882baea64b,
+                0x3e9479016394aea4,
+                0x3e9ec9d0c10423c8,
+                0x3e99c511dc3a41e0,
+                0x3eac6944f88f96b4,
+                0x3ec92a737110e454,
+                0x41424a9000000000,
+                0x4110c20000000000,
+                0x413126b000000000,
+                0x3e040,
+                96,
+                81,
+            ],
+            [
+                0x3ef009d162b53938,
+                0x3ee9c905e926395a,
+                0x3e6716f9798c4336,
+                0x3e4a924fdb1d598a,
+                0x3e821be669796552,
+                0x3e99c511dc3a41e0,
+                0x3e649da7e361ce4c,
+                0x3ec92a737110e454,
+                0x40f5000000000000,
+                0x40c5c00000000000,
+                0x41242d0000000000,
+                0x2d00,
+                96,
+                6,
+            ],
+        ];
+        fn check<T: Real>(case: usize, want: &[u64; 14]) {
+            let (bits, grid) = sm_spread_pins::<T>(case, 1);
+            assert_eq!(&bits, want, "case {case}");
+            let (bits4, grid4) = sm_spread_pins::<T>(case, 4);
+            assert_eq!(&bits4, want, "case {case} threads=4");
+            assert_eq!(complex_bits(&grid), complex_bits(&grid4), "case {case}");
+        }
+        check::<f32>(0, &pins[0]);
+        check::<f64>(1, &pins[1]);
+        check::<f32>(2, &pins[2]);
     }
 
     #[test]
