@@ -9,8 +9,9 @@
 //! (Cori GPU: 8, Summit: 6).
 
 use bench::Csv;
-use finufft_cpu::{CpuModel, CpuPrecision};
+use finufft_cpu::CpuModel;
 use mtip::{Node, RankTask};
+use nufft_common::Precision;
 use nufft_common::Shape;
 
 fn cpu_time(task: &RankTask, model: &CpuModel) -> f64 {
@@ -20,10 +21,10 @@ fn cpu_time(task: &RankTask, model: &CpuModel) -> f64 {
     let w = 13; // eps = 1e-12 double
     let per = match task.ttype {
         nufft_common::TransformType::Type1 => {
-            model.type1_exec(task.m, w, modes, fine, CpuPrecision::Double)
+            model.type1_exec(task.m, w, modes, fine, Precision::F64)
         }
         nufft_common::TransformType::Type2 => {
-            model.type2_exec(task.m, w, modes, fine, CpuPrecision::Double)
+            model.type2_exec(task.m, w, modes, fine, Precision::F64)
         }
     };
     task.transforms as f64 * (per + model.sort_time(task.m) / task.transforms as f64)

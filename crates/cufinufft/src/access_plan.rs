@@ -82,8 +82,8 @@ impl PlanGeometry {
         rec: &mut RecoveryReport,
     ) -> Result<PlanGeometry> {
         let tuning = &opts.tuning;
-        let real_bytes = precision.bytes();
-        let complex_bytes = 2 * real_bytes;
+        let real_bytes = precision.real_bytes();
+        let complex_bytes = precision.complex_bytes();
         let kernel = EsKernel::for_upsampfac(eps, tuning.upsampfac, precision == Precision::F64)?;
         let fine =
             modes.map(|_, n| fine_grid_size_with(n, tuning.upsampfac, kernel.w, opts.fine_sizing));

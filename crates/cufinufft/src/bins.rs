@@ -287,7 +287,7 @@ pub fn build_subproblems(dev: &Device, sort: &GpuBinSort, msub: usize) -> Vec<Su
         nb * 4,
         subs.len() * 12,
         nb as f64 * 4.0,
-        Precision::Single,
+        Precision::F32,
     );
     if let Some(trace) = dev.trace() {
         trace.counter("subprob.count").add(subs.len() as i64);

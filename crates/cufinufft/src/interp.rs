@@ -7,7 +7,7 @@
 //! only as the ablation that measures that claim.
 
 use crate::opts::sm_tile;
-use crate::spread::{PtsRef, SpreadInputs};
+use crate::spread::{row_segments, PtsRef, SpreadInputs};
 use gpu_sim::{Device, DeviceFault, LaunchConfig, LaunchReport, Precision, Scope};
 use nufft_common::complex::Complex;
 use nufft_common::real::Real;
@@ -45,7 +45,10 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
     let w = kernel.width();
     let dim = pts.dim;
     let [n1, n2, _] = fine.n;
+    // a cell no wider than a sector (true of every modelled device):
+    // the sectors of a segment's cells form one unbroken run
     let sector_bytes = dev.props().sector_bytes;
+    debug_assert!(cb <= sector_bytes);
     let m = order.len();
     let n_blocks = m.div_ceil(threads_per_block);
     let pts = *pts;
@@ -57,7 +60,7 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
         let block = &order[bid * threads_per_block..m.min((bid + 1) * threads_per_block)];
         let mut addrs = [0usize; 32];
         let mut fps: Vec<Footprint> = Vec::with_capacity(32);
-        let mut warp_sectors: Vec<usize> = Vec::new();
+        let mut runs: Vec<(usize, usize)> = Vec::new();
         let mut writes: Vec<(usize, Complex<T>)> = Vec::with_capacity(block.len());
         for (wi, warp) in block.chunks(32).enumerate() {
             let lane0 = (wi * 32) as u32;
@@ -77,32 +80,26 @@ pub fn interp_gm<T: Real, K: Kernel1d>(
             );
             let [wd1, wd2, wd3] = fps[0].wd;
             let steps = (wd1 * wd2 * wd3) as u64;
-            // loads are L1-cached within the warp's footprint (unlike
-            // atomics, which bypass L1): count each sector once per warp
-            warp_sectors.clear();
-            for t3 in 0..wd3 {
-                for t2 in 0..wd2 {
-                    for t1 in 0..wd1 {
-                        for fp in fps.iter() {
-                            let cell = fp.idx[0][t1] + n1 * (fp.idx[1][t2] + n2 * fp.idx[2][t3]);
-                            warp_sectors.push(cell * cb / sector_bytes);
-                        }
-                    }
-                }
-            }
             b.flops(steps * fps.len() as u64 * FLOPS_PER_CELL);
-            warp_sectors.sort_unstable();
-            warp_sectors.dedup();
-            b.l2_sector_count(warp_sectors.len() as u64);
-            // DRAM-side grid reads, row-wise through the line model
+            // Each footprint row is one or two contiguous cell segments.
+            // Loads are L1-cached within the warp's footprint (unlike
+            // atomics, which bypass L1), so L2 counts each sector of the
+            // warp's segments once; DRAM sees every row through the line
+            // model.
+            runs.clear();
             for fp in fps.iter() {
                 for t3 in 0..fp.wd[2] {
                     for t2 in 0..fp.wd[1] {
                         let row = n1 * (fp.idx[1][t2] + n2 * fp.idx[2][t3]);
-                        crate::spread::account_row(b, row, fp.idx[0][0], fp.wd[0], n1, cb, false);
+                        for (s, len) in row_segments(fp.idx[0][0], fp.wd[0], n1) {
+                            let (first, last) = (row + s, row + s + len - 1);
+                            runs.push((first * cb / sector_bytes, last * cb / sector_bytes));
+                            b.dram_span(first * cb, len * cb, false);
+                        }
                     }
                 }
             }
+            b.l2_sector_runs(&runs);
             // output writes c[t(j)] — scattered when sorted
             for (l, &j) in warp.iter().enumerate() {
                 addrs[l] = j as usize * cb;
@@ -572,13 +569,15 @@ pub(crate) mod tests {
         assert_eq!(complex_bits(&outs64[0]), complex_bits(&outs64[1]));
     }
 
+    pub(crate) type PinCase = (PointDist, &'static [usize], usize, usize, [usize; 3]);
+
     /// The accounting-pin cases shared with `spread::tests`: 2D f32
     /// clustered points (footprints wrap at x = 0), 3D f64 uniform
     /// points with x-wrapped footprints, and an odd `n1 = 33` whose
     /// 32-byte sectors straddle grid rows (and whose 40-cell SM tiles
     /// wrap the x-axis more than once). Each entry: distribution, fine
     /// grid, kernel width, point count, bin size.
-    pub(crate) const PIN_CASES: [(PointDist, &[usize], usize, usize, [usize; 3]); 3] = [
+    pub(crate) const PIN_CASES: [PinCase; 3] = [
         (PointDist::Cluster, &[96, 96], 6, 3000, [32, 32, 1]),
         (PointDist::Rand, &[24, 20, 18], 5, 600, [8, 8, 2]),
         (PointDist::Rand, &[33, 30], 7, 800, [32, 16, 1]),

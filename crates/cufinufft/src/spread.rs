@@ -56,9 +56,14 @@ impl<'a, T: Real> PtsRef<'a, T> {
 
 /// Split a `w`-cell row that starts at the wrapped x-index `start` into
 /// its contiguous `(first cell, length)` segments: one, or two when the
-/// row wraps past `n1`.
+/// row wraps past `n1`. Needs `w <= n1`, which plans guarantee by sizing
+/// fine grids to at least `2w`.
 #[inline]
-fn row_segments(start: usize, w: usize, n1: usize) -> impl Iterator<Item = (usize, usize)> {
+pub(crate) fn row_segments(
+    start: usize,
+    w: usize,
+    n1: usize,
+) -> impl Iterator<Item = (usize, usize)> {
     let first = w.min(n1 - start);
     std::iter::once((start, first)).chain((first < w).then_some((0, w - first)))
 }
@@ -67,7 +72,7 @@ fn row_segments(start: usize, w: usize, n1: usize) -> impl Iterator<Item = (usiz
 /// the block's DRAM line model. `start` is the row's already-wrapped
 /// first x-index; `write` for atomic read-modify-write.
 #[inline]
-pub(crate) fn account_row(
+fn account_row(
     b: &mut gpu_sim::BlockAcc<'_>,
     row_base_cell: usize, // cell index of (0, c2, c3) in the grid
     start: usize,
@@ -363,13 +368,16 @@ pub fn spread_sm<T: Real, K: Kernel1d>(
     let [n1, n2, n3] = fine.n;
     let half = w.div_ceil(2) as i64;
     let pts = *pts;
-    // One subproblem per thread block, run on the host pool; grid updates
-    // come back as an ordered delta list per block (see `spread_gm_impl`).
+    // One subproblem per thread block, run on the host pool. A block
+    // returns its padded bin with the bin's wrapped x-indices and row
+    // bases; `apply` adds it into the grid in block-id order, row by row,
+    // so the accumulation order matches a serial sweep (see
+    // `spread_gm_impl`).
     let body = |bid: usize, b: &mut gpu_sim::BlockAcc<'_>| {
         let sp = &subproblems[bid];
         let mut local = vec![Complex::<T>::ZERO; padded_cells];
         let mut addrs = [0usize; 32];
-        let mut deltas: Vec<(usize, Complex<T>)> = Vec::with_capacity(padded_cells);
+        let mut row_bases: Vec<usize> = Vec::with_capacity(p[1] * p[2]);
         let o = layout.origin(sp.bin as usize);
         // shared-memory zero fill (grid-stride over the padded bin), then
         // a __syncthreads before any thread accumulates into the bin
@@ -427,12 +435,13 @@ pub fn spread_sm<T: Real, K: Kernel1d>(
                 for t3 in 0..fp.wd[2] {
                     for t2 in 0..fp.wd[1] {
                         let base = ((b3 + t3) * p[1] + b2 + t2) * p[0] + b1;
-                        for cell in base..base + fp.wd[0] {
-                            // two shared atomics per cell (re, im words)
-                            b.shared_atomic(cell);
-                            b.shared_atomic(cell);
-                            b.trace_atomic(tb_bin, thread, 2 * cell as u64);
-                            b.trace_atomic(tb_bin, thread, 2 * cell as u64 + 1);
+                        // two shared atomics per cell (re, im words)
+                        b.shared_atomic_run(base, fp.wd[0], 2);
+                        if traced {
+                            for cell in base..base + fp.wd[0] {
+                                b.trace_atomic(tb_bin, thread, 2 * cell as u64);
+                                b.trace_atomic(tb_bin, thread, 2 * cell as u64 + 1);
+                            }
                         }
                     }
                 }
@@ -446,47 +455,58 @@ pub fn spread_sm<T: Real, K: Kernel1d>(
             b.barrier();
         }
         b.shared_ops(padded_cells as u64); // shared reads
-        let start1 = delta[0].rem_euclid(n1 as i64) as usize;
+
+        // Wrapped x-index of each padded column, and the table's maximal
+        // contiguous runs (a tile wider than the grid wraps more than
+        // once, so `row_segments` does not cover it).
+        let gx: Vec<usize> = (0..p[0] as i64)
+            .map(|l| (delta[0] + l).rem_euclid(n1 as i64) as usize)
+            .collect();
+        let mut xsegs: Vec<(usize, usize)> = Vec::new();
+        for (l, &g) in gx.iter().enumerate() {
+            match xsegs.last_mut() {
+                Some((s, len)) if l > 0 && g == *s + *len => *len += 1,
+                _ => xsegs.push((g, 1)),
+            }
+        }
         for i3 in 0..p[2] {
             let g3 = ((delta[2] + i3 as i64).rem_euclid(n3 as i64)) as usize;
             for i2 in 0..p[1] {
                 let g2 = ((delta[1] + i2 as i64).rem_euclid(n2 as i64)) as usize;
                 let row_base = g3 * n1 * n2 + g2 * n1;
                 let lrow = (i3 * p[1] + i2) * p[0];
-                let mut l = 0usize;
-                while l < p[0] {
-                    let lanes = (p[0] - l).min(32);
-                    for (s, slot) in addrs.iter_mut().enumerate().take(lanes) {
-                        let g1 = ((delta[0] + (l + s) as i64).rem_euclid(n1 as i64)) as usize;
+                for chunk in gx.chunks(32) {
+                    for (slot, &g1) in addrs.iter_mut().zip(chunk) {
                         *slot = (row_base + g1) * cb;
                     }
-                    b.l2_access(&addrs[..lanes]);
-                    for s in 0..lanes {
-                        let g1 = ((delta[0] + (l + s) as i64).rem_euclid(n1 as i64)) as usize;
-                        let cell = row_base + g1;
-                        b.global_atomic(cell);
-                        b.global_atomic(cell);
-                        if traced {
-                            let lcell = lrow + l + s;
-                            let thread = (lcell % tpb as usize) as u32;
-                            b.trace_read(tb_bin, thread, 2 * lcell as u64);
-                            b.trace_read(tb_bin, thread, 2 * lcell as u64 + 1);
-                            b.trace_atomic(tb_grid, thread, 2 * cell as u64);
-                            b.trace_atomic(tb_grid, thread, 2 * cell as u64 + 1);
-                        }
-                        deltas.push((cell, local[lrow + l + s]));
-                    }
-                    l += lanes;
+                    b.l2_access(&addrs[..chunk.len()]);
                 }
-                account_row(b, row_base, start1, p[0], n1, cb, true);
+                // two global atomics per cell (re, im words)
+                for &(s, len) in &xsegs {
+                    b.global_atomic_run(row_base + s, len, 2);
+                }
+                if traced {
+                    for (l, &g1) in gx.iter().enumerate() {
+                        let (lcell, cell) = (lrow + l, row_base + g1);
+                        let thread = (lcell % tpb as usize) as u32;
+                        b.trace_read(tb_bin, thread, 2 * lcell as u64);
+                        b.trace_read(tb_bin, thread, 2 * lcell as u64 + 1);
+                        b.trace_atomic(tb_grid, thread, 2 * cell as u64);
+                        b.trace_atomic(tb_grid, thread, 2 * cell as u64 + 1);
+                    }
+                }
+                row_bases.push(row_base);
+                account_row(b, row_base, gx[0], p[0], n1, cb, true);
             }
         }
         b.flops(padded_cells as u64 * 2);
-        deltas
+        (local, gx, row_bases)
     };
-    k.run_blocks(subproblems.len(), body, |_bid, deltas| {
-        for (cell, v) in deltas {
-            grid[cell] += v;
+    k.run_blocks(subproblems.len(), body, |_bid, (tile, gx, row_bases)| {
+        for (row, &row_base) in tile.chunks_exact(gx.len()).zip(&row_bases) {
+            for (&g1, &v) in gx.iter().zip(row) {
+                grid[row_base + g1] += v;
+            }
         }
     });
     Ok(dev.launch_end(k))
@@ -786,8 +806,8 @@ mod tests {
 
     #[test]
     fn sm_spread_reports_are_pinned() {
-        // Launch prices pinned bit for bit; host workers must change
-        // neither the price nor the spread grid.
+        // Launch prices and spread grids pinned bit for bit; host workers
+        // must change neither.
         let pins: [[u64; 14]; 3] = [
             [
                 0x3eeac9f0b27bc3fb,
@@ -838,16 +858,26 @@ mod tests {
                 6,
             ],
         ];
-        fn check<T: Real>(case: usize, want: &[u64; 14]) {
+        // FNV-1a digests of each case's spread grid bits
+        let grid_digests = [0xbcf311826793c325, 0xab84062730e20505, 0x48033e28de162255];
+        fn check<T: Real>(case: usize, want: &[u64; 14], want_digest: u64) {
             let (bits, grid) = sm_spread_pins::<T>(case, 1);
             assert_eq!(&bits, want, "case {case}");
+            let grid_bits = complex_bits(&grid);
+            let digest = grid_bits
+                .iter()
+                .flat_map(|&(re, im)| [re, im])
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, word| {
+                    (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            assert_eq!(digest, want_digest, "case {case}: grid");
             let (bits4, grid4) = sm_spread_pins::<T>(case, 4);
             assert_eq!(&bits4, want, "case {case} threads=4");
-            assert_eq!(complex_bits(&grid), complex_bits(&grid4), "case {case}");
+            assert_eq!(grid_bits, complex_bits(&grid4), "case {case}");
         }
-        check::<f32>(0, &pins[0]);
-        check::<f64>(1, &pins[1]);
-        check::<f32>(2, &pins[2]);
+        check::<f32>(0, &pins[0], grid_digests[0]);
+        check::<f64>(1, &pins[1], grid_digests[1]);
+        check::<f32>(2, &pins[2], grid_digests[2]);
     }
 
     #[test]

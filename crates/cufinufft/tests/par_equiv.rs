@@ -12,9 +12,14 @@ use gpu_sim::Device;
 use nufft_common::workload::{gen_coeffs, gen_points, gen_strengths, PointDist};
 use nufft_common::{Complex, Points, Real};
 
+/// One device-timeline record as bits: name, start, duration and the
+/// seven cost-model terms.
+type RecordBits = (String, [u64; 9]);
+
 /// Run two type-1 executes (the second replays the first's spread
 /// launch price) and one type-2 execute on a device with the given host
-/// parallelism; return the three outputs.
+/// parallelism; return the three outputs and the device timeline, which
+/// holds every launch's price.
 #[allow(clippy::too_many_arguments)]
 fn run_pair<T: Real>(
     threads: usize,
@@ -24,7 +29,7 @@ fn run_pair<T: Real>(
     method: Method,
     dist: PointDist,
     seed: u64,
-) -> [Vec<Complex<T>>; 3] {
+) -> ([Vec<Complex<T>>; 3], Vec<RecordBits>) {
     let dev = Device::v100();
     dev.set_host_parallelism(threads);
     let total: usize = modes.iter().product();
@@ -53,7 +58,26 @@ fn run_pair<T: Real>(
     let mut out2 = vec![Complex::<T>::ZERO; m];
     p2.execute(&f, &mut out2).unwrap();
 
-    [out1, out1b, out2]
+    let timeline = dev
+        .timeline()
+        .into_iter()
+        .map(|r| {
+            let b = r.breakdown;
+            let terms = [
+                r.start,
+                r.duration,
+                b.makespan,
+                b.l2,
+                b.dram,
+                b.compute,
+                b.atomic_hotspot,
+                b.atomic_ops,
+                b.overhead,
+            ];
+            (r.name, terms.map(f64::to_bits))
+        })
+        .collect();
+    ([out1, out1b, out2], timeline)
 }
 
 fn assert_bits_eq<T: Real>(a: &[Complex<T>], b: &[Complex<T>], what: &str) {
@@ -73,13 +97,28 @@ fn check_case<T: Real>(modes: &[usize], m: usize, eps: f64, method: Method, seed
     } else {
         PointDist::Cluster
     };
-    let serial = run_pair::<T>(1, modes, m, eps, method, dist, seed);
-    for threads in [2usize, 5, 8] {
-        let par = run_pair::<T>(threads, modes, m, eps, method, dist, seed);
+    compare_threads::<T>(modes, m, eps, method, dist, seed, &[2, 5, 8]);
+}
+
+/// Serial against each of `threads` host workers: outputs and every
+/// launch price must match bit for bit.
+fn compare_threads<T: Real>(
+    modes: &[usize],
+    m: usize,
+    eps: f64,
+    method: Method,
+    dist: PointDist,
+    seed: u64,
+    threads: &[usize],
+) {
+    let (serial, serial_timeline) = run_pair::<T>(1, modes, m, eps, method, dist, seed);
+    for &threads in threads {
+        let (par, par_timeline) = run_pair::<T>(threads, modes, m, eps, method, dist, seed);
         let tag = format!("{method:?} modes={modes:?} seed={seed} threads={threads}");
         for (i, what) in ["type1", "type1 repeat", "type2"].iter().enumerate() {
             assert_bits_eq(&serial[i], &par[i], &format!("{what} {tag}"));
         }
+        assert_eq!(serial_timeline, par_timeline, "launch prices {tag}");
     }
 }
 
@@ -93,6 +132,25 @@ fn parallel_blocks_match_serial_bitwise_2d() {
 fn parallel_blocks_match_serial_bitwise_3d() {
     check_case::<f64>(&[12, 10, 8], 400, 1e-7, Method::GmSort, 42);
     check_case::<f64>(&[10, 10, 10], 300, 1e-6, Method::Gm, 43);
+}
+
+/// Clustered 2D f32 points, M-TIP's type-2-then-type-1 regime, with
+/// more blocks (157 GM-sort interp blocks, 20 SM subproblems in the one
+/// occupied bin) than the 16 that four host workers may run ahead of the
+/// ordered merge.
+#[test]
+fn parallel_blocks_match_serial_past_the_merge_window() {
+    for method in [Method::GmSort, Method::Sm] {
+        compare_threads::<f32>(
+            &[64, 64],
+            20_000,
+            1e-5,
+            method,
+            PointDist::Cluster,
+            44,
+            &[4],
+        );
+    }
 }
 
 /// Widened multi-seed sweep, run when `PAR=full` (see scripts/check.sh).

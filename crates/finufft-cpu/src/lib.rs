@@ -22,7 +22,7 @@ pub mod sort;
 pub mod spread;
 pub mod type3;
 
-pub use model::{CpuModel, CpuPrecision};
+pub use model::CpuModel;
 pub use plan::{
     nufft1d1, nufft1d2, nufft2d1, nufft2d2, nufft3d1, nufft3d2, Opts, Plan, StageTimings,
     TransformType,

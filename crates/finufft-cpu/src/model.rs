@@ -14,27 +14,8 @@
 //! model reflects that (kernel evaluation is folded into the per-point
 //! constant).
 
-use nufft_common::real::Real;
 use nufft_common::shape::Shape;
-
-/// Precision selector mirroring `gpu_sim::Precision` without the
-/// dependency.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum CpuPrecision {
-    Single,
-    Double,
-}
-
-impl CpuPrecision {
-    /// The precision of a concrete scalar type.
-    pub fn of<T: Real>() -> Self {
-        if T::IS_DOUBLE {
-            CpuPrecision::Double
-        } else {
-            CpuPrecision::Single
-        }
-    }
-}
+use nufft_common::spec::Precision;
 
 /// CPU hardware/cost constants.
 #[derive(Clone, Debug)]
@@ -91,10 +72,10 @@ impl CpuModel {
     /// (per-point, per-cell) cost multipliers for the precision: doubles
     /// halve the SIMD width (1.8x per cell) and modestly inflate the
     /// fixed per-point work (1.3x).
-    fn prec_scale(prec: CpuPrecision) -> (f64, f64) {
+    fn prec_scale(prec: Precision) -> (f64, f64) {
         match prec {
-            CpuPrecision::Single => (1.0, 1.0),
-            CpuPrecision::Double => (1.3, 1.8),
+            Precision::F32 => (1.0, 1.0),
+            Precision::F64 => (1.3, 1.8),
         }
     }
 
@@ -103,7 +84,7 @@ impl CpuModel {
     }
 
     /// Spreading time for `m` points, kernel width `w`, `dim` dimensions.
-    pub fn spread_time(&self, m: usize, w: usize, dim: usize, prec: CpuPrecision) -> f64 {
+    pub fn spread_time(&self, m: usize, w: usize, dim: usize, prec: Precision) -> f64 {
         let cells = (w as f64).powi(dim as i32);
         let (sa, sb) = Self::prec_scale(prec);
         let cycles = m as f64
@@ -118,7 +99,7 @@ impl CpuModel {
     }
 
     /// Interpolation time (read-only gather).
-    pub fn interp_time(&self, m: usize, w: usize, dim: usize, prec: CpuPrecision) -> f64 {
+    pub fn interp_time(&self, m: usize, w: usize, dim: usize, prec: Precision) -> f64 {
         let cells = (w as f64).powi(dim as i32);
         let (sa, sb) = Self::prec_scale(prec);
         let cycles = m as f64
@@ -130,7 +111,7 @@ impl CpuModel {
     }
 
     /// Multi-dimensional FFT of the fine grid.
-    pub fn fft_time(&self, fine: Shape, prec: CpuPrecision) -> f64 {
+    pub fn fft_time(&self, fine: Shape, prec: Precision) -> f64 {
         let n = fine.total() as f64;
         let (_, sb) = Self::prec_scale(prec);
         let cycles = self.c_fft * sb * n * n.log2().max(1.0);
@@ -139,7 +120,7 @@ impl CpuModel {
     }
 
     /// Deconvolution + mode copy.
-    pub fn deconv_time(&self, modes: Shape, prec: CpuPrecision) -> f64 {
+    pub fn deconv_time(&self, modes: Shape, prec: Precision) -> f64 {
         let n = modes.total() as f64;
         let (_, sb) = Self::prec_scale(prec);
         self.cycles_to_secs(n * 6.0)
@@ -159,7 +140,7 @@ impl CpuModel {
         w: usize,
         modes: Shape,
         fine: Shape,
-        prec: CpuPrecision,
+        prec: Precision,
     ) -> f64 {
         self.spread_time(m, w, modes.dim, prec)
             + self.fft_time(fine, prec)
@@ -173,7 +154,7 @@ impl CpuModel {
         w: usize,
         modes: Shape,
         fine: Shape,
-        prec: CpuPrecision,
+        prec: Precision,
     ) -> f64 {
         self.interp_time(m, w, modes.dim, prec)
             + self.fft_time(fine, prec)
@@ -199,8 +180,8 @@ mod tests {
         let m = CpuModel::xeon_e5_2680v4();
         let modes = Shape::d3(256, 256, 256);
         let fine = Shape::d3(512, 512, 512);
-        let t_w3 = m.type1_exec(134_000_000, 3, modes, fine, CpuPrecision::Single);
-        let t_w6 = m.type1_exec(134_000_000, 6, modes, fine, CpuPrecision::Single);
+        let t_w3 = m.type1_exec(134_000_000, 3, modes, fine, Precision::F32);
+        let t_w6 = m.type1_exec(134_000_000, 6, modes, fine, Precision::F32);
         assert!(t_w3 > 1.4 && t_w3 < 5.7, "w=3: {t_w3}");
         assert!(t_w6 > 1.7 && t_w6 < 6.8, "w=6: {t_w6}");
         assert!(t_w6 > t_w3);
@@ -212,7 +193,7 @@ mod tests {
             13,
             Shape::d3(81, 81, 81),
             Shape::d3(162, 162, 162),
-            CpuPrecision::Double,
+            Precision::F64,
         );
         assert!(t13 > 0.3 && t13 < 2.5, "w=13 f64: {t13}");
     }
@@ -222,8 +203,8 @@ mod tests {
         let m = CpuModel::xeon_e5_2680v4();
         let modes = Shape::d2(512, 512);
         let fine = Shape::d2(1024, 1024);
-        let s = m.type1_exec(1 << 20, 6, modes, fine, CpuPrecision::Single);
-        let d = m.type1_exec(1 << 20, 6, modes, fine, CpuPrecision::Double);
+        let s = m.type1_exec(1 << 20, 6, modes, fine, Precision::F32);
+        let d = m.type1_exec(1 << 20, 6, modes, fine, Precision::F64);
         assert!(d > s);
     }
 
@@ -235,8 +216,8 @@ mod tests {
         let modes = Shape::d2(256, 256);
         let fine = Shape::d2(512, 512);
         // small problem (compute-bound): should scale close to 2x
-        let t1 = base.spread_time(100_000, 6, 2, CpuPrecision::Single);
-        let t2 = big.spread_time(100_000, 6, 2, CpuPrecision::Single);
+        let t1 = base.spread_time(100_000, 6, 2, Precision::F32);
+        let t2 = big.spread_time(100_000, 6, 2, Precision::F32);
         assert!(t2 < t1);
         let _ = (modes, fine);
     }
@@ -244,8 +225,8 @@ mod tests {
     #[test]
     fn interp_cheaper_than_spread() {
         let m = CpuModel::xeon_e5_2680v4();
-        let s = m.spread_time(1 << 22, 6, 2, CpuPrecision::Single);
-        let i = m.interp_time(1 << 22, 6, 2, CpuPrecision::Single);
+        let s = m.spread_time(1 << 22, 6, 2, Precision::F32);
+        let i = m.interp_time(1 << 22, 6, 2, Precision::F32);
         assert!(i <= s);
     }
 
@@ -254,7 +235,7 @@ mod tests {
         let m = CpuModel::skylake_40t();
         let modes = Shape::d3(81, 81, 81);
         let fine = Shape::d3(162, 162, 162);
-        let t = m.type1_exec(16_400_000, 13, modes, fine, CpuPrecision::Double);
+        let t = m.type1_exec(16_400_000, 13, modes, fine, Precision::F64);
         assert!(t > 0.0 && t.is_finite());
         assert!(m.total(t, 16_400_000) > t);
     }

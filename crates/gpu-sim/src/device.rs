@@ -733,7 +733,7 @@ mod tests {
     fn clock_advances_with_operations() {
         let dev = Device::v100();
         assert_eq!(dev.clock(), 0.0);
-        let t = dev.bulk_op("memset", 0, 1 << 20, 0.0, Precision::Single);
+        let t = dev.bulk_op("memset", 0, 1 << 20, 0.0, Precision::F32);
         assert!(t > 0.0);
         assert!((dev.clock() - t).abs() < 1e-18);
     }
@@ -784,7 +784,7 @@ mod tests {
     fn kernel_launch_records_timeline() {
         let dev = Device::v100();
         let mut k = dev
-            .kernel("spread", LaunchConfig::new(Precision::Single, 128))
+            .kernel("spread", LaunchConfig::new(Precision::F32, 128))
             .unwrap();
         k.run_blocks(
             1,
@@ -809,7 +809,7 @@ mod tests {
             let trace = Trace::new();
             dev.attach_trace(&trace);
             let mut k = dev
-                .kernel("spread", LaunchConfig::new(Precision::Single, 128))
+                .kernel("spread", LaunchConfig::new(Precision::F32, 128))
                 .unwrap();
             let report = match replay {
                 Some(priced) => dev.launch_priced(k, priced),
@@ -844,7 +844,7 @@ mod tests {
         let dev = Device::v100();
         dev.set_hazard_mode(HazardMode::Check);
         let k = dev
-            .kernel("spread", LaunchConfig::new(Precision::Single, 128))
+            .kernel("spread", LaunchConfig::new(Precision::F32, 128))
             .unwrap();
         let r = dev.launch_priced(k, &priced);
         assert_eq!(r.global_atomics, 0);
@@ -856,7 +856,7 @@ mod tests {
         let dev = Device::v100();
         dev.inject_faults(crate::faults::FaultPlan::new(0).fail_kernel("k", FaultMode::Once));
         let limit = dev.props().shared_mem_per_block;
-        let cfg = |bytes| LaunchConfig::new(Precision::Single, 128).with_shared(bytes);
+        let cfg = |bytes| LaunchConfig::new(Precision::F32, 128).with_shared(bytes);
         let Err(err) = dev.kernel("k", cfg(limit + 1)) else {
             panic!("over-limit launch accepted");
         };
@@ -945,12 +945,12 @@ mod tests {
         dev.inject_faults(
             crate::faults::FaultPlan::new(0).fail_kernel("spread", FaultMode::Always),
         );
-        let cfg = LaunchConfig::new(Precision::Single, 128);
+        let cfg = LaunchConfig::new(Precision::F32, 128);
         let err = dev.kernel("spread_SM", cfg).unwrap_err();
         assert_eq!(err.kind, FaultKind::KernelLaunch);
         assert!(!err.transient);
         // non-matching kernels still launch
-        let cfg = LaunchConfig::new(Precision::Single, 128);
+        let cfg = LaunchConfig::new(Precision::F32, 128);
         assert!(dev.kernel("interp_GM", cfg).is_ok());
     }
 
@@ -989,7 +989,7 @@ mod tests {
     fn timeline_recording_can_be_disabled() {
         let dev = Device::v100();
         dev.set_record_timeline(false);
-        dev.bulk_op("quiet", 1024, 0, 0.0, Precision::Single);
+        dev.bulk_op("quiet", 1024, 0, 0.0, Precision::F32);
         assert!(dev.timeline().is_empty());
         // clock still advances
         assert!(dev.clock() > 0.0);
@@ -999,7 +999,7 @@ mod tests {
     fn device_is_cloneable_and_shares_state() {
         let dev = Device::v100();
         let dev2 = dev.clone();
-        dev.bulk_op("x", 1 << 20, 0, 0.0, Precision::Single);
+        dev.bulk_op("x", 1 << 20, 0, 0.0, Precision::F32);
         assert_eq!(dev.clock(), dev2.clock());
     }
 }

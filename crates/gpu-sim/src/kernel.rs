@@ -318,21 +318,39 @@ impl Kernel {
             }
             return;
         }
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         let next = AtomicUsize::new(0);
+        // Blocks merged so far. A worker runs block `bid` only once
+        // `bid < merged + window`, so however far the workers outrun the
+        // ordered merge, at most `window` finished blocks wait in the
+        // reorder buffer. `merged` publishes no data (blocks travel over
+        // the channel); the Release store pairs with the workers' Acquire
+        // load only to keep the bound tight.
+        let merged = AtomicUsize::new(0);
+        let window = MERGE_WINDOW_PER_THREAD * threads;
+        // Raised when any thread unwinds, so workers parked on the window
+        // stop waiting for a merge that will never come.
+        let stop = AtomicBool::new(false);
         let (tx, rx) = std::sync::mpsc::channel::<(usize, BlockOut, R)>();
-        let next_ref = &next;
+        let (next_ref, merged_ref, stop_ref) = (&next, &merged, &stop);
         let body_ref = &body;
         std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(threads);
             for _ in 0..threads {
                 let tx = tx.clone();
                 handles.push(s.spawn(move || {
+                    let _unwind = StopOnUnwind(stop_ref);
                     let mut scratch = WorkerScratch::new(&params);
-                    loop {
+                    'claim: loop {
                         let bid = next_ref.fetch_add(1, Ordering::Relaxed);
                         if bid >= n_blocks {
                             break;
+                        }
+                        while bid >= merged_ref.load(Ordering::Acquire) + window {
+                            if stop_ref.load(Ordering::Relaxed) {
+                                break 'claim;
+                            }
+                            std::thread::yield_now();
                         }
                         let mut acc = BlockAcc::begin(params, &mut scratch);
                         let r = body_ref(bid, &mut acc);
@@ -345,6 +363,7 @@ impl Kernel {
                 }));
             }
             drop(tx);
+            let _unwind = StopOnUnwind(stop_ref);
             // Merge strictly in block-id order through a reorder buffer.
             let mut pending: std::collections::HashMap<usize, (BlockOut, R)> =
                 std::collections::HashMap::new();
@@ -356,6 +375,7 @@ impl Kernel {
                     self.merge_block(out);
                     apply(want, r);
                     want += 1;
+                    merged_ref.store(want, Ordering::Release);
                 }
             }
             for h in handles {
@@ -430,6 +450,22 @@ impl Kernel {
     }
 }
 
+/// Blocks each host worker may run ahead of the ordered merge in
+/// [`Kernel::run_blocks`]; bounds the reorder buffer to this many
+/// finished blocks per worker.
+const MERGE_WINDOW_PER_THREAD: usize = 4;
+
+/// Raises its flag when dropped during a panic (see [`Kernel::run_blocks`]).
+struct StopOnUnwind<'a>(&'a std::sync::atomic::AtomicBool);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+}
+
 /// Truncating division that strength-reduces to a shift when the
 /// divisor is a power of two (the sector/line/element sizes always
 /// are in practice, and a 64-bit `idiv` in the per-warp accounting
@@ -480,18 +516,14 @@ struct AccParams {
 
 /// Per-worker reusable scratch: a private copy of the atomic-sector
 /// histogram (zeroed once per worker, not per block — merged additively
-/// at the end) and the shared-memory hotspot epoch arrays.
+/// at the end), the shared-memory hotspot epoch arrays, and the sector
+/// set behind the distinct-sector counts.
 struct WorkerScratch {
     hist: Vec<u64>,
     shared_epoch: Vec<u32>,
     shared_count: Vec<u64>,
     cur_epoch: u32,
-    /// Open-addressing probe table for [`Self::count_distinct`]: 64
-    /// slots for at most 32 warp-lane sector ids, epoch-stamped so it
-    /// never needs clearing between calls.
-    dedup_ids: [usize; 64],
-    dedup_epoch: [u64; 64],
-    dedup_clock: u64,
+    sectors: SectorSet,
 }
 
 impl WorkerScratch {
@@ -501,35 +533,52 @@ impl WorkerScratch {
             shared_epoch: vec![0u32; p.shared_words],
             shared_count: vec![0u64; p.shared_words],
             cur_epoch: 0,
-            dedup_ids: [0; 64],
-            dedup_epoch: [0; 64],
-            dedup_clock: 0,
+            sectors: SectorSet::default(),
         }
     }
+}
 
-    /// Exact count of distinct ids (≤ 32 of them) via the epoch-stamped
-    /// probe table — same result as sorting and deduplicating the ids, but
-    /// without the per-warp-instruction sort that dominated simulated
-    /// spread launches on the host profile. Linear probing in a table
-    /// twice the maximum input size always terminates.
+/// Exact distinct-id counting without a sort: an open-addressing table
+/// whose slots are stamped with the query that filled them, so it never
+/// needs clearing between queries. Each query sizes the table to at least
+/// twice the ids it may insert, so linear probing always finds a free
+/// slot; the table only grows.
+#[derive(Default)]
+struct SectorSet {
+    /// `(query stamp, id)` per slot; a power-of-two count.
+    slots: Vec<(u64, usize)>,
+    clock: u64,
+}
+
+impl SectorSet {
+    /// Distinct ids among `ids`, which hold at most `max_ids` items.
+    /// Slots are the ids' low bits: sector ids that are close together
+    /// (one warp's accesses) land in distinct, neighbouring slots. A
+    /// folded hash measured slower on the 32-lane spread path.
     #[inline]
-    fn count_distinct(&mut self, ids: impl Iterator<Item = usize>) -> u64 {
-        self.dedup_clock += 1;
-        let ep = self.dedup_clock;
+    fn count(&mut self, max_ids: usize, ids: impl Iterator<Item = usize>) -> u64 {
+        let want = (2 * max_ids).next_power_of_two().max(64);
+        if want > self.slots.len() {
+            self.slots = vec![(0, 0); want];
+        }
+        self.clock += 1;
+        let clock = self.clock;
+        let slots = &mut self.slots[..];
+        let mask = slots.len() - 1;
         let mut distinct = 0u64;
-        for id in ids {
-            let mut slot = id & 63;
+        'ids: for id in ids {
+            let mut slot = id & mask;
             loop {
-                if self.dedup_epoch[slot] != ep {
-                    self.dedup_epoch[slot] = ep;
-                    self.dedup_ids[slot] = id;
+                let entry = &mut slots[slot];
+                if entry.0 != clock {
+                    *entry = (clock, id);
                     distinct += 1;
-                    break;
+                    continue 'ids;
                 }
-                if self.dedup_ids[slot] == id {
-                    break;
+                if entry.1 == id {
+                    continue 'ids;
                 }
-                slot = (slot + 1) & 63;
+                slot = (slot + 1) & mask;
             }
         }
         distinct
@@ -616,28 +665,38 @@ impl<'w> BlockAcc<'w> {
 
     /// Distinct 32-byte sectors among up to 32 lane addresses (hardware
     /// coalescing within one warp instruction), counted through the
-    /// worker's probe table (no per-call sort).
+    /// worker's [`SectorSet`] (no per-call sort).
     #[inline]
     fn distinct_sectors(&mut self, byte_addrs: &[usize]) -> u64 {
         debug_assert!(byte_addrs.len() <= 32, "a warp has at most 32 lanes");
         let sb = self.params.sector_bytes;
+        let n = byte_addrs.len();
         if sb.is_power_of_two() {
             let sh = sb.trailing_zeros();
             self.scratch
-                .count_distinct(byte_addrs.iter().map(|&a| a >> sh))
+                .sectors
+                .count(n, byte_addrs.iter().map(|&a| a >> sh))
         } else {
             self.scratch
-                .count_distinct(byte_addrs.iter().map(|&a| a / sb))
+                .sectors
+                .count(n, byte_addrs.iter().map(|&a| a / sb))
         }
     }
 
-    /// Directly add `n` L2 sector transactions. Used when the caller has
-    /// already deduplicated a larger access set (e.g. read-only gathers
-    /// filtered through the per-SM L1, which atomics bypass but loads
-    /// enjoy: a warp's whole footprint counts each sector once).
-    #[inline]
-    pub fn l2_sector_count(&mut self, n: u64) {
-        self.l2_sectors += n;
+    /// L2 traffic of a set of loads that the per-SM L1 deduplicates as a
+    /// whole (read-only gathers, which unlike atomics enjoy L1: a warp's
+    /// whole footprint counts each sector once), given as inclusive runs
+    /// of sector ids: adds the number of distinct sectors across all runs,
+    /// exactly what sorting and deduplicating every covered id would
+    /// count, in time linear in the runs' total length.
+    pub fn l2_sector_runs(&mut self, runs: &[(usize, usize)]) {
+        debug_assert!(runs.iter().all(|&(first, last)| first <= last));
+        let total = runs.iter().map(|&(first, last)| last + 1 - first).sum();
+        let distinct = self.scratch.sectors.count(
+            total,
+            runs.iter().flat_map(|&(first, last)| first..last + 1),
+        );
+        self.l2_sectors += distinct;
     }
 
     /// One warp-wide access including its DRAM-side line traffic (each
@@ -752,6 +811,30 @@ impl<'w> BlockAcc<'w> {
         }
     }
 
+    /// `n` shared-memory atomic adds to each of the `len` consecutive
+    /// words from `word0` — one call per footprint row instead of `len·n`
+    /// [`Self::shared_atomic`] calls, with exactly their op, atomic and
+    /// hotspot tallies (a word's running count peaks at its last add).
+    pub fn shared_atomic_run(&mut self, word0: usize, len: usize, n: u64) {
+        if len == 0 || n == 0 {
+            return;
+        }
+        self.shared_ops += len as u64 * n;
+        self.shared_atomics += len as u64 * n;
+        let sc = &mut *self.scratch;
+        let end = (word0 + len).min(sc.shared_epoch.len());
+        for w in word0.min(end)..end {
+            let count = if sc.shared_epoch[w] != sc.cur_epoch {
+                sc.shared_epoch[w] = sc.cur_epoch;
+                n
+            } else {
+                sc.shared_count[w] + n
+            };
+            sc.shared_count[w] = count;
+            self.shared_hotspot = self.shared_hotspot.max(count);
+        }
+    }
+
     /// Plain (non-atomic) shared-memory operations.
     #[inline]
     pub fn shared_ops(&mut self, n: u64) {
@@ -823,8 +906,8 @@ mod tests {
 
     /// Count distinct 32-byte sectors among up to 32 lane addresses
     /// (hardware coalescing within one warp instruction) by sort+dedup: the
-    /// reference the probe table in [`WorkerScratch::count_distinct`] is
-    /// tested against.
+    /// reference the sector set behind [`BlockAcc::l2_access`] and
+    /// [`BlockAcc::l2_sector_runs`] is tested against.
     fn dedup_sectors(sector_bytes: usize, byte_addrs: &[usize]) -> u64 {
         let mut ids: Vec<usize> = byte_addrs.iter().map(|&a| a / sector_bytes).collect();
         ids.sort_unstable();
@@ -834,7 +917,7 @@ mod tests {
 
     #[test]
     fn coalesced_warp_is_few_sectors() {
-        let mut k = mk(LaunchConfig::new(Precision::Single, 128));
+        let mut k = mk(LaunchConfig::new(Precision::F32, 128));
         one_block(&mut k, |b| {
             // 32 lanes reading 32 consecutive f32s: 128 B = 4 sectors
             let addrs: Vec<usize> = (0..32).map(|i| i * 4).collect();
@@ -845,7 +928,7 @@ mod tests {
 
     #[test]
     fn scattered_warp_is_many_sectors() {
-        let mut k = mk(LaunchConfig::new(Precision::Single, 128));
+        let mut k = mk(LaunchConfig::new(Precision::F32, 128));
         one_block(&mut k, |b| {
             let addrs: Vec<usize> = (0..32).map(|i| i * 4096).collect();
             b.l2_access(&addrs);
@@ -858,11 +941,7 @@ mod tests {
         let props = DeviceProps::v100();
         // repeatedly touching the same small region: only first touch
         // costs DRAM
-        let mut k = Kernel::new(
-            "r",
-            LaunchConfig::new(Precision::Single, 128),
-            props.clone(),
-        );
+        let mut k = Kernel::new("r", LaunchConfig::new(Precision::F32, 128), props.clone());
         one_block(&mut k, |b| {
             for _ in 0..100 {
                 b.dram_span(0, 4096, false);
@@ -870,7 +949,7 @@ mod tests {
         });
         assert_eq!(k.dram_bytes, 4096.0f64.div_euclid(128.0) * 128.0);
         // scattered touches each cost a full line
-        let mut k2 = Kernel::new("s", LaunchConfig::new(Precision::Single, 128), props);
+        let mut k2 = Kernel::new("s", LaunchConfig::new(Precision::F32, 128), props);
         one_block(&mut k2, |b| {
             for i in 0..100usize {
                 b.dram_span(i * 1_000_000, 4, false);
@@ -881,7 +960,7 @@ mod tests {
 
     #[test]
     fn writes_pay_read_plus_writeback() {
-        let mut k = mk(LaunchConfig::new(Precision::Single, 128));
+        let mut k = mk(LaunchConfig::new(Precision::F32, 128));
         one_block(&mut k, |b| b.dram_span(0, 128, true));
         assert_eq!(k.dram_bytes, 256.0);
     }
@@ -893,7 +972,7 @@ mod tests {
         // per-element `global_atomic_n` calls would put them, including
         // runs that straddle sector boundaries.
         let runs: [(usize, usize); 4] = [(3, 5), (100, 2), (1021, 3), (7, 0)];
-        let mut ka = mk(LaunchConfig::new(Precision::Double, 128));
+        let mut ka = mk(LaunchConfig::new(Precision::F64, 128));
         ka.atomic_region(1024, 16);
         one_block(&mut ka, |b| {
             for &(start, len) in &runs {
@@ -902,7 +981,7 @@ mod tests {
                 }
             }
         });
-        let mut kb = mk(LaunchConfig::new(Precision::Double, 128));
+        let mut kb = mk(LaunchConfig::new(Precision::F64, 128));
         kb.atomic_region(1024, 16);
         one_block(&mut kb, |b| {
             for &(start, len) in &runs {
@@ -915,7 +994,7 @@ mod tests {
 
     #[test]
     fn probe_table_dedup_matches_sort_dedup() {
-        // The epoch-stamped probe table behind `BlockAcc::l2_access`
+        // The epoch-stamped sector set behind `BlockAcc::l2_access`
         // must count exactly what sort+dedup counts, including inputs
         // engineered to collide in its 64-slot table.
         let cases: Vec<Vec<usize>> = vec![
@@ -928,15 +1007,110 @@ mod tests {
         for ids in cases {
             let addrs: Vec<usize> = ids.iter().map(|&i| i * 32).collect();
             let reference = dedup_sectors(32, &addrs);
-            let mut k = mk(LaunchConfig::new(Precision::Single, 128));
+            let mut k = mk(LaunchConfig::new(Precision::F32, 128));
             one_block(&mut k, |b| b.l2_access(&addrs));
             assert_eq!(k.l2_sectors, reference, "ids {ids:?}");
         }
     }
 
+    /// Tiny deterministic generator for the randomized tests below.
+    fn xorshift(state: &mut u64) -> usize {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state as usize
+    }
+
+    #[test]
+    fn sector_runs_match_sort_dedup() {
+        // `l2_sector_runs` must count what sort+dedup of every covered
+        // sector id counts, query after query on one worker's table:
+        // overlapping, adjacent and single-sector runs, runs straddling
+        // the table size, and queries that grow the table mid-block.
+        let reference = |runs: &[(usize, usize)]| -> u64 {
+            let mut ids: Vec<usize> = runs.iter().flat_map(|&(f, l)| f..=l).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids.len() as u64
+        };
+        let mut queries: Vec<Vec<(usize, usize)>> = vec![
+            vec![(5, 5)],
+            vec![(0, 3), (4, 7), (2, 9)],
+            vec![(60, 70), (127, 129), (65, 65)],
+            vec![(3, 3); 40],
+        ];
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for q in 0..60 {
+            // run count and spread grow with q, so later queries resize
+            let n_runs = 1 + xorshift(&mut rng) % (4 + 8 * q);
+            let span = 8 + 64 * q;
+            let base = xorshift(&mut rng) % 100_000;
+            let runs = (0..n_runs)
+                .map(|_| {
+                    let first = base + xorshift(&mut rng) % span;
+                    (first, first + xorshift(&mut rng) % 12)
+                })
+                .collect();
+            queries.push(runs);
+        }
+        queries.push(vec![(1, 1), (1, 2)]); // small again after growth
+        let mut k = mk(LaunchConfig::new(Precision::F32, 128));
+        one_block(&mut k, |b| {
+            for runs in &queries {
+                let before = b.l2_sectors;
+                b.l2_sector_runs(runs);
+                assert_eq!(b.l2_sectors - before, reference(runs), "runs {runs:?}");
+            }
+        });
+        let total: u64 = queries.iter().map(|r| reference(r)).sum();
+        assert_eq!(k.l2_sectors, total);
+    }
+
+    #[test]
+    fn shared_atomic_run_matches_per_word_atomics() {
+        // `shared_atomic_run(w0, len, n)` must tally exactly what `len·n`
+        // single `shared_atomic` calls tally — ops, atomics and the
+        // per-block hotspot — across blocks and across the u32 epoch
+        // wrap that clears the stamps.
+        let p = AccParams {
+            sector_bytes: 32,
+            line_bytes: 128,
+            elems_per_sector: 4,
+            hist_len: 0,
+            shared_words: 48,
+            traced: false,
+        };
+        let mut runs_scratch = WorkerScratch::new(&p);
+        let mut loop_scratch = WorkerScratch::new(&p);
+        runs_scratch.cur_epoch = u32::MAX - 3;
+        loop_scratch.cur_epoch = u32::MAX - 3;
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for block in 0..8 {
+            let mut a = BlockAcc::begin(p, &mut runs_scratch);
+            let mut b = BlockAcc::begin(p, &mut loop_scratch);
+            for _ in 0..20 {
+                // words past the 48-word allocation count as ops only
+                let w0 = xorshift(&mut rng) % 56;
+                let len = xorshift(&mut rng) % 9;
+                let n = (xorshift(&mut rng) % 4) as u64;
+                a.shared_atomic_run(w0, len, n);
+                for w in w0..w0 + len {
+                    for _ in 0..n {
+                        b.shared_atomic(w);
+                    }
+                }
+            }
+            let (ra, rb) = (a.into_out(), b.into_out());
+            assert_eq!(ra.shared_ops, rb.shared_ops, "block {block}");
+            assert_eq!(ra.shared_atomics, rb.shared_atomics, "block {block}");
+            assert_eq!(ra.shared_hotspot, rb.shared_hotspot, "block {block}");
+        }
+        assert!(runs_scratch.cur_epoch < 8, "the epoch wrapped");
+    }
+
     #[test]
     fn atomic_hotspot_tracks_worst_sector() {
-        let mut k = mk(LaunchConfig::new(Precision::Single, 128));
+        let mut k = mk(LaunchConfig::new(Precision::F32, 128));
         k.atomic_region(1024, 8);
         one_block(&mut k, |b| {
             for _ in 0..100 {
@@ -952,11 +1126,7 @@ mod tests {
     #[test]
     fn hotspot_serialization_dominates_when_contended() {
         let props = DeviceProps::v100();
-        let mut k = Kernel::new(
-            "hot",
-            LaunchConfig::new(Precision::Single, 128),
-            props.clone(),
-        );
+        let mut k = Kernel::new("hot", LaunchConfig::new(Precision::F32, 128), props.clone());
         k.atomic_region(16, 8);
         let n = 1_000_000u32;
         one_block(&mut k, |b| {
@@ -974,7 +1144,7 @@ mod tests {
     fn cas_penalty_multiplies_contention() {
         let props = DeviceProps::v100();
         let run = |penalty: f64| {
-            let cfg = LaunchConfig::new(Precision::Double, 128).with_cas_penalty(penalty);
+            let cfg = LaunchConfig::new(Precision::F64, 128).with_cas_penalty(penalty);
             let mut k = Kernel::new("c", cfg, props.clone());
             k.atomic_region(16, 16);
             one_block(&mut k, |b| {
@@ -990,12 +1160,8 @@ mod tests {
     #[test]
     fn shared_atomics_are_much_cheaper_than_global_hotspot() {
         let props = DeviceProps::v100();
-        let cfg = LaunchConfig::new(Precision::Single, 128).with_shared(4096);
-        let mut kg = Kernel::new(
-            "g",
-            LaunchConfig::new(Precision::Single, 128),
-            props.clone(),
-        );
+        let cfg = LaunchConfig::new(Precision::F32, 128).with_shared(4096);
+        let mut kg = Kernel::new("g", LaunchConfig::new(Precision::F32, 128), props.clone());
         kg.atomic_region(16, 8);
         one_block(&mut kg, |bg| {
             for _ in 0..100_000 {
@@ -1015,7 +1181,7 @@ mod tests {
 
     #[test]
     fn shared_hotspot_resets_between_blocks() {
-        let cfg = LaunchConfig::new(Precision::Single, 128).with_shared(1024);
+        let cfg = LaunchConfig::new(Precision::F32, 128).with_shared(1024);
         let mut k = mk(cfg);
         k.run_blocks(
             2,
@@ -1036,12 +1202,12 @@ mod tests {
         let total_flops = 8.0e9_f64;
         let mut k1 = Kernel::new(
             "lump",
-            LaunchConfig::new(Precision::Single, 128),
+            LaunchConfig::new(Precision::F32, 128),
             props.clone(),
         );
         one_block(&mut k1, |b| b.flops(total_flops as u64));
         let t_lump = k1.price().0.duration;
-        let mut k2 = Kernel::new("split", LaunchConfig::new(Precision::Single, 128), props);
+        let mut k2 = Kernel::new("split", LaunchConfig::new(Precision::F32, 128), props);
         k2.run_blocks(
             800,
             |_, b| b.flops((total_flops / 800.0) as u64),
@@ -1054,11 +1220,7 @@ mod tests {
     #[test]
     fn atomic_op_throughput_bounds_uncontended_atomics() {
         let props = DeviceProps::v100();
-        let mut k = Kernel::new(
-            "ops",
-            LaunchConfig::new(Precision::Single, 128),
-            props.clone(),
-        );
+        let mut k = Kernel::new("ops", LaunchConfig::new(Precision::F32, 128), props.clone());
         k.atomic_region(1 << 20, 8);
         one_block(&mut k, |b| {
             // spread over many sectors: no hotspot, but op rate still binds
@@ -1078,7 +1240,7 @@ mod tests {
         // feeding it) were u32 and would wrap on huge-M runs. Feed > 2^32
         // ops into one sector via the bulk form and check the exact count
         // comes back out.
-        let mut k = mk(LaunchConfig::new(Precision::Single, 128));
+        let mut k = mk(LaunchConfig::new(Precision::F32, 128));
         k.atomic_region(16, 8);
         let huge = (u32::MAX as u64) + 5;
         one_block(&mut k, |b| b.global_atomic_n(0, huge));
@@ -1090,7 +1252,7 @@ mod tests {
     #[test]
     fn access_trace_captures_contract_and_records() {
         use crate::access::Scope;
-        let mut k = mk(LaunchConfig::new(Precision::Single, 128).with_shared(1024));
+        let mut k = mk(LaunchConfig::new(Precision::F32, 128).with_shared(1024));
         k.enable_access_trace();
         k.atomic_region(64, 8);
         let grid = k.trace_buffer("grid", Scope::Global, 4);
@@ -1114,7 +1276,7 @@ mod tests {
     #[test]
     fn trace_hooks_are_noops_when_disabled() {
         use crate::access::Scope;
-        let mut k = mk(LaunchConfig::new(Precision::Single, 128));
+        let mut k = mk(LaunchConfig::new(Precision::F32, 128));
         assert!(!k.access_traced());
         let buf = k.trace_buffer("grid", Scope::Global, 4);
         one_block(&mut k, |b| {
@@ -1131,7 +1293,7 @@ mod tests {
         // exactly 256 sectors. The old `n / eps + 1` sizing allocated a
         // 257th sector that nothing could ever land in, diluting
         // hotspot-fraction style statistics.
-        let mut k = mk(LaunchConfig::new(Precision::Single, 128));
+        let mut k = mk(LaunchConfig::new(Precision::F32, 128));
         k.atomic_region(1024, 8);
         assert_eq!(k.atomic_hist.len(), 256);
         // Last element maps to the last sector, in range.
@@ -1139,7 +1301,7 @@ mod tests {
         let r = k.price().0;
         assert_eq!(r.atomic_hotspot_count, 1);
         // Non-dividing case still rounds up.
-        let mut k2 = mk(LaunchConfig::new(Precision::Single, 128));
+        let mut k2 = mk(LaunchConfig::new(Precision::F32, 128));
         k2.atomic_region(1025, 8);
         assert_eq!(k2.atomic_hist.len(), 257);
     }
@@ -1163,7 +1325,7 @@ mod tests {
     }
 
     fn run_workload(threads: usize, n_blocks: usize) -> (LaunchReport, Vec<f64>) {
-        let cfg = LaunchConfig::new(Precision::Single, 128).with_shared(1024);
+        let cfg = LaunchConfig::new(Precision::F32, 128).with_shared(1024);
         let mut k = mk(cfg);
         k.atomic_region(256, 8);
         k.host_threads = threads;
@@ -1209,9 +1371,83 @@ mod tests {
     }
 
     #[test]
+    fn run_blocks_workers_stay_within_the_merge_window() {
+        // Far more blocks than the window, and an ordered merge held back
+        // at block 0 until the window has filled: every block must still
+        // start within the window of the merge, and the launch must match
+        // the serial run bit for bit.
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        let threads = 3;
+        let window = MERGE_WINDOW_PER_THREAD * threads;
+        let n_blocks = 30 * window;
+        let (serial, s_sink) = run_workload(1, n_blocks);
+        let applied = AtomicUsize::new(0);
+        let started = AtomicUsize::new(0);
+        let escaped = AtomicBool::new(false);
+        let cfg = LaunchConfig::new(Precision::F32, 128).with_shared(1024);
+        let mut k = mk(cfg);
+        k.atomic_region(256, 8);
+        k.host_threads = threads;
+        let mut sink = vec![0.0f64; n_blocks + 1];
+        k.run_blocks(
+            n_blocks,
+            |bid, b| {
+                if bid >= applied.load(Ordering::Acquire) + window {
+                    escaped.store(true, Ordering::Relaxed);
+                }
+                started.fetch_add(1, Ordering::AcqRel);
+                workload_acc(bid, b)
+            },
+            |bid, deltas| {
+                if bid == 0 {
+                    // every block inside the window can start meanwhile
+                    while started.load(Ordering::Acquire) < window {
+                        std::thread::yield_now();
+                    }
+                    // and none outside it may, however long block 0 takes
+                    let t0 = std::time::Instant::now();
+                    while t0.elapsed() < std::time::Duration::from_millis(20) {
+                        std::thread::yield_now();
+                    }
+                    assert_eq!(started.load(Ordering::Acquire), window);
+                }
+                for (i, v) in deltas {
+                    sink[i] += v;
+                }
+                applied.store(bid + 1, Ordering::Release);
+            },
+        );
+        assert!(
+            !escaped.load(Ordering::Relaxed),
+            "a block ran past the window"
+        );
+        assert_reports_identical(&serial, &k.price().0);
+        for (a, b) in s_sink.iter().zip(sink.iter()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "block 5 failed")]
+    fn run_blocks_propagates_a_worker_panic_past_the_window() {
+        // Workers parked on the merge window must give up when the block
+        // the merge waits for panicked, so the panic surfaces, not a hang.
+        let mut k = mk(LaunchConfig::new(Precision::F32, 128));
+        k.host_threads = 2;
+        k.run_blocks(
+            500,
+            |bid, b| {
+                assert!(bid != 5, "block 5 failed");
+                b.flops(1);
+            },
+            |_, ()| {},
+        );
+    }
+
+    #[test]
     fn run_blocks_forces_serial_and_replays_trace_when_hazard_checked() {
         use crate::access::Scope;
-        let mut k = mk(LaunchConfig::new(Precision::Single, 128).with_shared(1024));
+        let mut k = mk(LaunchConfig::new(Precision::F32, 128).with_shared(1024));
         k.enable_access_trace();
         k.atomic_region(64, 8);
         let grid = k.trace_buffer("grid", Scope::Global, 4);
@@ -1235,7 +1471,7 @@ mod tests {
 
     #[test]
     fn stream_bytes_counts_both_levels() {
-        let mut k = mk(LaunchConfig::new(Precision::Single, 128));
+        let mut k = mk(LaunchConfig::new(Precision::F32, 128));
         one_block(&mut k, |b| b.stream_bytes(33));
         assert_eq!(k.l2_sectors, 2);
         assert_eq!(k.dram_bytes, 33.0);

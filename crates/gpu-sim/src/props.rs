@@ -7,40 +7,9 @@
 //! absolute scale so throughputs land in the paper's regime
 //! (~1e9 points/s for 2D spreading at w=6).
 
-use nufft_common::real::Real;
-
-/// Working precision of a kernel, used to pick FLOP rates and element
-/// sizes in the cost model.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Precision {
-    Single,
-    Double,
-}
-
-impl Precision {
-    /// The precision of a concrete scalar type (the device-side twin of
-    /// `nufft_common::spec::Precision::of`).
-    pub fn of<T: Real>() -> Self {
-        if T::IS_DOUBLE {
-            Precision::Double
-        } else {
-            Precision::Single
-        }
-    }
-
-    /// Bytes per *real* scalar.
-    pub fn real_bytes(self) -> usize {
-        match self {
-            Precision::Single => 4,
-            Precision::Double => 8,
-        }
-    }
-
-    /// Bytes per complex element (interleaved).
-    pub fn complex_bytes(self) -> usize {
-        2 * self.real_bytes()
-    }
-}
+/// Working precision of a kernel: the transform-level enum, which the
+/// cost model uses to pick FLOP rates and element sizes.
+pub use nufft_common::spec::Precision;
 
 /// Device description and cost-model constants.
 #[derive(Clone, Debug)]
@@ -144,8 +113,8 @@ impl DeviceProps {
     /// FLOP rate for a precision, after the achievable-fraction derate.
     pub fn flops(&self, prec: Precision) -> f64 {
         let peak = match prec {
-            Precision::Single => self.flops_f32,
-            Precision::Double => self.flops_f64,
+            Precision::F32 => self.flops_f32,
+            Precision::F64 => self.flops_f64,
         };
         peak * self.compute_efficiency
     }
@@ -177,21 +146,15 @@ mod tests {
     }
 
     #[test]
-    fn precision_byte_sizes() {
-        assert_eq!(Precision::Single.real_bytes(), 4);
-        assert_eq!(Precision::Double.real_bytes(), 8);
-        assert_eq!(Precision::Single.complex_bytes(), 8);
-        assert_eq!(Precision::Double.complex_bytes(), 16);
-    }
+    fn precision_byte_sizes() {}
 
     #[test]
     fn derated_flops_ordering() {
         let p = DeviceProps::v100();
-        assert!(p.flops(Precision::Single) > p.flops(Precision::Double));
-        assert!(p.flops(Precision::Single) < p.flops_f32);
+        assert!(p.flops(Precision::F32) > p.flops(Precision::F64));
+        assert!(p.flops(Precision::F32) < p.flops_f32);
         assert!(
-            (p.sm_flops(Precision::Single) * p.sm_count as f64 - p.flops(Precision::Single)).abs()
-                < 1.0
+            (p.sm_flops(Precision::F32) * p.sm_count as f64 - p.flops(Precision::F32)).abs() < 1.0
         );
     }
 

@@ -132,12 +132,12 @@ mod tests {
         let dev = Device::v100();
         for _ in 0..3 {
             let mut k = dev
-                .kernel("spread", LaunchConfig::new(Precision::Single, 128))
+                .kernel("spread", LaunchConfig::new(Precision::F32, 128))
                 .unwrap();
             k.run_blocks(1, |_, b| b.flops(1_000_000), |_, ()| {});
             dev.launch_end(k);
         }
-        dev.bulk_op("cufft", 1 << 20, 1 << 20, 1e6, Precision::Single);
+        dev.bulk_op("cufft", 1 << 20, 1 << 20, 1e6, Precision::F32);
         dev
     }
 

@@ -140,7 +140,7 @@ mod tests {
         let shared = props.shared_mem_per_block;
         let mut k = Kernel::new(
             "lone_block",
-            LaunchConfig::new(Precision::Single, 256).with_shared(shared),
+            LaunchConfig::new(Precision::F32, 256).with_shared(shared),
             props,
         );
         k.run_blocks(1, |_, b| b.shared_ops(1_000_000), |_, ()| {});

@@ -16,7 +16,7 @@ proptest! {
         let run = |kb: usize| {
             let dev = Device::v100();
             dev.set_record_timeline(false);
-            let mut k = dev.kernel("t", LaunchConfig::new(Precision::Single, 128)).unwrap();
+            let mut k = dev.kernel("t", LaunchConfig::new(Precision::F32, 128)).unwrap();
             k.run_blocks(1, |_, blk| blk.stream_bytes(kb * 1024), |_, ()| {});
             dev.launch_end(k).duration
         };
@@ -30,7 +30,7 @@ proptest! {
         let run = |n: u32| {
             let dev = Device::v100();
             dev.set_record_timeline(false);
-            let mut k = dev.kernel("t", LaunchConfig::new(Precision::Single, 128)).unwrap();
+            let mut k = dev.kernel("t", LaunchConfig::new(Precision::F32, 128)).unwrap();
             k.atomic_region(64, 8);
             k.run_blocks(
                 1,
@@ -53,7 +53,7 @@ proptest! {
         let run = |nblocks: usize| {
             let dev = Device::v100();
             dev.set_record_timeline(false);
-            let mut k = dev.kernel("t", LaunchConfig::new(Precision::Single, 128)).unwrap();
+            let mut k = dev.kernel("t", LaunchConfig::new(Precision::F32, 128)).unwrap();
             k.run_blocks(nblocks, |_, blk| blk.flops(total_flops / nblocks as u64), |_, ()| {});
             dev.launch_end(k).breakdown.makespan
         };
@@ -67,7 +67,7 @@ proptest! {
     fn dram_traffic_bounded(spans in proptest::collection::vec((0usize..1_000_000, 1usize..4096), 1..100)) {
         let dev = Device::v100();
         dev.set_record_timeline(false);
-        let mut k = dev.kernel("t", LaunchConfig::new(Precision::Single, 128)).unwrap();
+        let mut k = dev.kernel("t", LaunchConfig::new(Precision::F32, 128)).unwrap();
         k.run_blocks(
             1,
             |_, blk| {
@@ -118,7 +118,7 @@ proptest! {
         let run = |props: DeviceProps| {
             let dev = Device::new(props);
             dev.set_record_timeline(false);
-            let mut k = dev.kernel("t", LaunchConfig::new(Precision::Single, 128)).unwrap();
+            let mut k = dev.kernel("t", LaunchConfig::new(Precision::F32, 128)).unwrap();
             k.run_blocks(
                 1,
                 |_, blk| {
@@ -142,6 +142,6 @@ proptest! {
             k.run_blocks(1, |_, blk| blk.flops(flops), |_, ()| {});
             dev.launch_end(k).duration
         };
-        prop_assert!(run(Precision::Double) >= run(Precision::Single));
+        prop_assert!(run(Precision::F64) >= run(Precision::F32));
     }
 }

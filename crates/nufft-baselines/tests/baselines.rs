@@ -164,9 +164,9 @@ fn gpunufft_adjoint_case<T: nufft_common::real::Real>(
         .expect("gridding launch recorded");
     let (p, b) = (dev.props(), rec.breakdown);
     let prec = if T::IS_DOUBLE {
-        gpu_sim::Precision::Double
+        gpu_sim::Precision::F64
     } else {
-        gpu_sim::Precision::Single
+        gpu_sim::Precision::F32
     };
     let bits = [
         rec.duration.to_bits(),

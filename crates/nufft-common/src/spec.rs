@@ -46,11 +46,16 @@ impl Precision {
     }
 
     /// Bytes per real scalar (4 or 8).
-    pub fn bytes(self) -> usize {
+    pub fn real_bytes(self) -> usize {
         match self {
             Precision::F32 => 4,
             Precision::F64 => 8,
         }
+    }
+
+    /// Bytes per complex element (interleaved re, im).
+    pub fn complex_bytes(self) -> usize {
+        2 * self.real_bytes()
     }
 }
 
@@ -377,7 +382,8 @@ mod tests {
         assert!(spec.matches_precision::<f32>());
         assert!(!spec.matches_precision::<f64>());
         assert_eq!(Precision::of::<f64>(), Precision::F64);
-        assert_eq!(Precision::F32.bytes(), 4);
+        assert_eq!(Precision::F32.real_bytes(), 4);
+        assert_eq!(Precision::F64.complex_bytes(), 16);
     }
 
     #[test]
