@@ -56,8 +56,11 @@ impl<'a, T: Real> PtsRef<'a, T> {
 
 /// Split a `w`-cell row that starts at the wrapped x-index `start` into
 /// its contiguous `(first cell, length)` segments: one, or two when the
-/// row wraps past `n1`. Needs `w <= n1`, which plans guarantee by sizing
-/// fine grids to at least `2w`.
+/// row wraps past `n1`. Correct only for `w <= n1`. Kernel footprints
+/// (GM spread and interpolation) meet that, because fine grids are at
+/// least `2w` wide. SM padded tile rows may not (a 40-cell row on an
+/// `n1 = 33` grid), and `spread_sm`'s `account_row` call still prices
+/// such a row as one span running past the grid row's end.
 #[inline]
 pub(crate) fn row_segments(
     start: usize,

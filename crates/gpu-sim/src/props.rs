@@ -146,7 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn precision_byte_sizes() {}
+    fn precision_byte_sizes() {
+        assert_eq!(Precision::F32.real_bytes(), 4);
+        assert_eq!(Precision::F64.real_bytes(), 8);
+        assert_eq!(Precision::F32.complex_bytes(), 8);
+        assert_eq!(Precision::F64.complex_bytes(), 16);
+    }
 
     #[test]
     fn derated_flops_ordering() {
