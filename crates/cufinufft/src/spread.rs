@@ -867,13 +867,7 @@ mod tests {
             let (bits, grid) = sm_spread_pins::<T>(case, 1);
             assert_eq!(&bits, want, "case {case}");
             let grid_bits = complex_bits(&grid);
-            let digest = grid_bits
-                .iter()
-                .flat_map(|&(re, im)| [re, im])
-                .fold(0xcbf2_9ce4_8422_2325u64, |h, word| {
-                    (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
-                });
-            assert_eq!(digest, want_digest, "case {case}: grid");
+            assert_eq!(grid_digest(&grid), want_digest, "case {case}: grid");
             let (bits4, grid4) = sm_spread_pins::<T>(case, 4);
             assert_eq!(&bits4, want, "case {case} threads=4");
             assert_eq!(grid_bits, complex_bits(&grid4), "case {case}");
@@ -881,6 +875,238 @@ mod tests {
         check::<f32>(0, &pins[0], grid_digests[0]);
         check::<f64>(1, &pins[1], grid_digests[1]);
         check::<f32>(2, &pins[2], grid_digests[2]);
+    }
+
+    /// FNV-1a digest of a grid's bits.
+    fn grid_digest<T: Real>(grid: &[Complex<T>]) -> u64 {
+        complex_bits(grid)
+            .iter()
+            .flat_map(|&(re, im)| [re, im])
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, word| {
+                (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// The GM spread pin cases: `interp::tests::PIN_CASES` (the last,
+    /// `n1 = 33`, has rows that do not start on a sector), then a 2D f32
+    /// grid with sector-aligned rows and fewer rows than the kernel width
+    /// (`n2 = 6 < w = 7`), so footprints cover some rows twice.
+    const GM_PIN_CASES: [crate::interp::tests::PinCase; 4] = [
+        PIN_CASES[0],
+        PIN_CASES[1],
+        PIN_CASES[2],
+        (PointDist::Rand, &[40, 6], 7, 700, [32, 32, 1]),
+    ];
+
+    /// `spread_GM` and `spread_GM-sort` on `GM_PIN_CASES[case]` with
+    /// `threads` host workers: both launch reports and both grid digests.
+    fn gm_spread_pins<T: Real>(case: usize, threads: usize) -> [([u64; 14], u64); 2] {
+        let (dist, n, w, m, bins) = GM_PIN_CASES[case];
+        let fine = Shape::from_slice(n);
+        let dev = Device::v100();
+        dev.set_host_parallelism(threads);
+        let kernel = EsKernel::with_width(w);
+        let pts = gen_points::<T>(dist, fine.dim, m, fine, 91 + case as u64);
+        let cs = gen_strengths::<T>(m, 92 + case as u64);
+        let natural: Vec<u32> = (0..m as u32).collect();
+        let sort = gpu_bin_sort(&dev, &pts, fine, bins);
+        let run = |name: &str, order: &[u32]| {
+            let mut grid = vec![Complex::<T>::ZERO; fine.total()];
+            let r = spread_gm(
+                &dev,
+                name,
+                &kernel,
+                fine,
+                &pts_ref(&pts),
+                &cs,
+                order,
+                &mut grid,
+                128,
+                1.0,
+            )
+            .unwrap();
+            (report_bits(&r), grid_digest(&grid))
+        };
+        [
+            run("spread_GM", &natural),
+            run("spread_GM-sort", &sort.perm),
+        ]
+    }
+
+    #[test]
+    fn gm_spread_reports_are_pinned() {
+        // Launch prices and grid digests pinned bit for bit, per case:
+        // [spread_GM, spread_GM-sort]. Host workers must change neither.
+        let pins: [[([u64; 14], u64); 2]; 4] = [
+            [
+                (
+                    [
+                        0x3f0a42b2934bdde0,
+                        0x3ecad7f29abcaf48,
+                        0x3eae28388c898d37,
+                        0x3e6091abe8ffe91f,
+                        0x3e9a9fd9a2e0c2c0,
+                        0x3f08b00b5c3acf9b,
+                        0x3ea828c0be769dc1,
+                        0x3ec92a737110e454,
+                        0x413b6d8000000000,
+                        0x40db200000000000,
+                        0x413da9c000000000,
+                        216000,
+                        11772,
+                        24,
+                    ],
+                    0xef949570a793c325,
+                ),
+                (
+                    [
+                        0x3f0a42b2934bdde0,
+                        0x3ecad7f29abcaf48,
+                        0x3eae28388c898d37,
+                        0x3e6091abe8ffe91f,
+                        0x3e9a9fd9a2e0c2c0,
+                        0x3f08b00b5c3acf9b,
+                        0x3ea828c0be769dc1,
+                        0x3ec92a737110e454,
+                        0x413b6d8000000000,
+                        0x40db200000000000,
+                        0x413da9c000000000,
+                        216000,
+                        11772,
+                        24,
+                    ],
+                    0xef949570a793c325,
+                ),
+            ],
+            [
+                (
+                    [
+                        0x3efc88a44ae40a00,
+                        0x3ef96355dcc1ed75,
+                        0x3eb440e26fe2962c,
+                        0x3e9493e1e36f5f75,
+                        0x3e97d49b4aacbaf4,
+                        0x3e95798ee2308c3a,
+                        0x3ea0c6f7a0b5ed8d,
+                        0x3ec92a737110e454,
+                        0x41426ba000000000,
+                        0x4110d80000000000,
+                        0x412a8ce000000000,
+                        150000,
+                        80,
+                        5,
+                    ],
+                    0xaaa6a0da5de3d12b,
+                ),
+                (
+                    [
+                        0x3ef8be79b826c744,
+                        0x3ef5992b4a04aaba,
+                        0x3eb3fd208aa70b54,
+                        0x3e942ad1640137e9,
+                        0x3e97d49b4aacbaf4,
+                        0x3e95798ee2308c3a,
+                        0x3ea0c6f7a0b5ed8d,
+                        0x3ec92a737110e454,
+                        0x41422e0000000000,
+                        0x4110820000000000,
+                        0x412a8ce000000000,
+                        150000,
+                        80,
+                        5,
+                    ],
+                    0xe4f52879bf21d2a9,
+                ),
+            ],
+            [
+                (
+                    [
+                        0x3ee665c805e8a240,
+                        0x3ee01b2b29a4692b,
+                        0x3ea3c97337bb9475,
+                        0x3e52a16fe6234a8d,
+                        0x3e81cb1e9e2839ac,
+                        0x3ebb83bf11ce33ab,
+                        0x3e9189ac27a7a5b8,
+                        0x3ec92a737110e454,
+                        0x4131ff0000000000,
+                        0x40ce800000000000,
+                        0x4123d30000000000,
+                        78400,
+                        410,
+                        7,
+                    ],
+                    0xa8780d83be162255,
+                ),
+                (
+                    [
+                        0x3ee5eb75ee926f01,
+                        0x3edf41b2249c6bd8,
+                        0x3ea2f53e8c155a9d,
+                        0x3e511a7fe841f8e6,
+                        0x3e81cb1e9e2839ac,
+                        0x3ebb83bf11ce33ab,
+                        0x3e9189ac27a7a5b8,
+                        0x3ec92a737110e454,
+                        0x41313e0000000000,
+                        0x40cc000000000000,
+                        0x4123d30000000000,
+                        78400,
+                        410,
+                        7,
+                    ],
+                    0xd93332efe162255,
+                ),
+            ],
+            [
+                (
+                    [
+                        0x3ee41fba35109d22,
+                        0x3edbaa3ab198c81a,
+                        0x3e9d42f9042e2ee5,
+                        0x3e4168afe7d56fa1,
+                        0x3e7f237594c664ee,
+                        0x3ed6d9bed647a869,
+                        0x3e8eb0ed45656202,
+                        0x3ec92a737110e454,
+                        0x412a9d0000000000,
+                        0x40bc800000000000,
+                        0x412158a000000000,
+                        68600,
+                        1362,
+                        6,
+                    ],
+                    0x717d22dc9d71b8a5,
+                ),
+                (
+                    [
+                        0x3ee35241922dd6de,
+                        0x3eda0f496bd33b93,
+                        0x3e9a3f1d952a7067,
+                        0x3e411a7fe841f8e6,
+                        0x3e7f237594c664ee,
+                        0x3ed6d9bed647a869,
+                        0x3e8eb0ed45656202,
+                        0x3ec92a737110e454,
+                        0x4127df0000000000,
+                        0x40bc000000000000,
+                        0x412158a000000000,
+                        68600,
+                        1362,
+                        6,
+                    ],
+                    0x41aa87a03d71b8a5,
+                ),
+            ],
+        ];
+        fn check<T: Real>(case: usize, want: &[([u64; 14], u64); 2]) {
+            assert_eq!(&gm_spread_pins::<T>(case, 1), want, "case {case}");
+            assert_eq!(&gm_spread_pins::<T>(case, 4), want, "case {case} threads=4");
+        }
+        check::<f32>(0, &pins[0]);
+        check::<f64>(1, &pins[1]);
+        check::<f32>(2, &pins[2]);
+        check::<f32>(3, &pins[3]);
     }
 
     #[test]
