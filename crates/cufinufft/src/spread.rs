@@ -230,6 +230,7 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
     let w = kernel.width();
     let dim = pts.dim;
     let [n1, n2, _] = fine.n;
+    let aligned_rows = (n1 * cb).is_multiple_of(dev.props().sector_bytes);
     let n_blocks = m.div_ceil(threads_per_block);
     let block_of =
         |bid: usize| &order[bid * threads_per_block..m.min((bid + 1) * threads_per_block)];
@@ -243,6 +244,8 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
         let block = block_of(bid);
         let mut addrs = [0usize; 32];
         let mut block_fps: Vec<Footprint> = Vec::with_capacity(block.len());
+        let mut segs: Vec<(usize, usize)> = Vec::with_capacity(2);
+        let mut rows: Vec<usize> = Vec::new();
         for (wi, warp) in block.chunks(32).enumerate() {
             let lane0 = (wi * 32) as u32; // thread id of this warp's lane 0
                                           // point-data loads: one access per array (x, y, z, c)
@@ -268,34 +271,49 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
             );
             let fps = &block_fps[warp_start..];
             let [wd1, wd2, wd3] = fps[0].wd;
-            // lockstep loop over the w^d cells (x fastest, matching the
-            // serial step order): lanes touch their own cell; L2
-            // coalescing per step, DRAM reuse per footprint row
+            // L2 coalescing of the lockstep loop over the w^d cells (x
+            // fastest): lanes touch their own cell, counted per step
             let mut rowb = [0usize; 32];
-            for t3 in 0..wd3 {
-                for t2 in 0..wd2 {
+            if aligned_rows && !traced {
+                // Rows start on sector boundaries and every lane steps
+                // by the same (t2, t3), so two lanes share a row at step
+                // (t1, t2, t3) exactly when they share it at (t1, 0, 0):
+                // each step coalesces like the first row's step t1.
+                for (l, fp) in fps.iter().enumerate() {
+                    rowb[l] = n1 * (fp.idx[1][0] + n2 * fp.idx[2][0]);
+                }
+                for t1 in 0..wd1 {
                     for (l, fp) in fps.iter().enumerate() {
-                        rowb[l] = n1 * (fp.idx[1][t2] + n2 * fp.idx[2][t3]);
+                        addrs[l] = (fp.idx[0][t1] + rowb[l]) * cb;
                     }
-                    for t1 in 0..wd1 {
+                    b.l2_access_n(&addrs[..fps.len()], (wd2 * wd3) as u64);
+                }
+            } else {
+                for t3 in 0..wd3 {
+                    for t2 in 0..wd2 {
                         for (l, fp) in fps.iter().enumerate() {
-                            let cell = fp.idx[0][t1] + rowb[l];
-                            addrs[l] = cell * cb;
-                            if traced {
-                                let lane = lane0 + l as u32;
-                                if racy {
-                                    // the bug under test: plain
-                                    // read-modify-write of a grid word
-                                    // other threads also update
-                                    b.trace_write(tb_grid, lane, 2 * cell as u64);
-                                    b.trace_write(tb_grid, lane, 2 * cell as u64 + 1);
-                                } else {
-                                    b.trace_atomic(tb_grid, lane, 2 * cell as u64);
-                                    b.trace_atomic(tb_grid, lane, 2 * cell as u64 + 1);
+                            rowb[l] = n1 * (fp.idx[1][t2] + n2 * fp.idx[2][t3]);
+                        }
+                        for t1 in 0..wd1 {
+                            for (l, fp) in fps.iter().enumerate() {
+                                let cell = fp.idx[0][t1] + rowb[l];
+                                addrs[l] = cell * cb;
+                                if traced {
+                                    let lane = lane0 + l as u32;
+                                    if racy {
+                                        // the bug under test: plain
+                                        // read-modify-write of a grid
+                                        // word other threads also update
+                                        b.trace_write(tb_grid, lane, 2 * cell as u64);
+                                        b.trace_write(tb_grid, lane, 2 * cell as u64 + 1);
+                                    } else {
+                                        b.trace_atomic(tb_grid, lane, 2 * cell as u64);
+                                        b.trace_atomic(tb_grid, lane, 2 * cell as u64 + 1);
+                                    }
                                 }
                             }
+                            b.l2_access(&addrs[..fps.len()]);
                         }
-                        b.l2_access(&addrs[..fps.len()]);
                     }
                 }
             }
@@ -304,20 +322,23 @@ fn spread_gm_impl<T: Real, K: Kernel1d>(
             b.flops((wd1 * wd2 * wd3) as u64 * fps.len() as u64 * FLOPS_PER_CELL);
             // DRAM-side traffic: each footprint row filtered through the
             // L2 line model (this is where sorting pays off); atomic op
-            // cost + contention ride along, batched per contiguous row
-            // segment — two atomic words per complex add, totals
-            // identical to per-cell `global_atomic_n`
+            // cost + contention per point, from one row-segment split
+            // shared by all its rows — two atomic words per complex add,
+            // totals identical to per-cell `global_atomic_n`
             for fp in fps {
-                for t3 in 0..fp.wd[2] {
-                    for t2 in 0..fp.wd[1] {
-                        let row = n1 * (fp.idx[1][t2] + n2 * fp.idx[2][t3]);
-                        for (s, len) in row_segments(fp.idx[0][0], fp.wd[0], n1) {
-                            b.dram_span((row + s) * cb, len * cb, true);
-                            if !racy {
-                                b.global_atomic_run(row + s, len, 2);
-                            }
-                        }
+                segs.clear();
+                segs.extend(row_segments(fp.idx[0][0], wd1, n1));
+                rows.clear();
+                for &i3 in &fp.idx[2][..wd3] {
+                    rows.extend(fp.idx[1][..wd2].iter().map(|&i2| n1 * (i2 + n2 * i3)));
+                }
+                for &row in &rows {
+                    for &(s, len) in &segs {
+                        b.dram_span((row + s) * cb, len * cb, true);
                     }
+                }
+                if !racy {
+                    b.global_atomic_rows(&rows, &segs, 2);
                 }
             }
         }

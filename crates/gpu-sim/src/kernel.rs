@@ -101,6 +101,8 @@ pub struct LaunchReport {
 /// Direct-mapped model of the L2 cache at line granularity.
 struct LineCache {
     tags: Vec<u64>,
+    /// `ceil(2^128 / tags.len())`, the multiplier of [`fastmod`].
+    magic: u128,
 }
 
 impl LineCache {
@@ -108,20 +110,52 @@ impl LineCache {
         let slots = (props.l2_bytes / props.line_bytes).max(1);
         LineCache {
             tags: vec![u64::MAX; slots],
+            magic: fastmod_magic(slots as u64),
         }
     }
 
-    /// Touch one line; returns `true` on miss.
+    /// Touch lines `first..=last` in order; returns the misses.
+    /// Consecutive lines sit in consecutive slots, so only the first slot
+    /// needs a reduction.
     #[inline(always)]
-    fn touch(&mut self, line_id: u64) -> bool {
-        let slot = (line_id as usize) % self.tags.len();
-        if self.tags[slot] != line_id {
-            self.tags[slot] = line_id;
-            true
-        } else {
-            false
+    fn touch_span(&mut self, first: u64, last: u64) -> u64 {
+        let n = self.tags.len();
+        let mut slot = fastmod(first, self.magic, n as u64) as usize;
+        let mut misses = 0;
+        for line in first..=last {
+            let tag = &mut self.tags[slot];
+            if *tag != line {
+                *tag = line;
+                misses += 1;
+            }
+            slot += 1;
+            if slot == n {
+                slot = 0;
+            }
         }
+        misses
     }
+}
+
+/// The multiplier `ceil(2^128 / d)` that [`fastmod`] reduces by `d`
+/// (wrapping to 0 for `d = 1`, which [`fastmod`] also handles).
+fn fastmod_magic(d: u64) -> u128 {
+    assert!(d > 0, "modulus must be positive");
+    (u128::MAX / d as u128).wrapping_add(1)
+}
+
+/// `a % d` without a division (Lemire, Kaser and Kurz, "Faster
+/// remainder by direct computation", 2019): the fractional part of
+/// `a / d`, held to 128 bits as `magic · a mod 2^128`, times `d`, keeps
+/// the remainder in its integer part. 128 fractional bits make it exact
+/// for every 64-bit `a` and `d`. `magic` is `fastmod_magic(d)`.
+#[inline(always)]
+fn fastmod(a: u64, magic: u128, d: u64) -> u64 {
+    let frac = magic.wrapping_mul(a as u128);
+    // high 128 bits of the 192-bit product frac · d
+    let lo = (frac as u64 as u128) * d as u128;
+    let hi = (frac >> 64) * d as u128;
+    ((hi + (lo >> 64)) >> 64) as u64
 }
 
 /// An in-flight kernel launch. Create with `Device::kernel`, run its
@@ -141,7 +175,9 @@ pub struct Kernel {
     atomic_hist: Vec<u64>,
     elems_per_sector: usize,
     block_times: Vec<f64>,
-    cache: LineCache,
+    /// Built by the first block merge: launches whose price is replayed
+    /// (`Device::launch_priced`) never touch it.
+    cache: Option<LineCache>,
     // shadow-memory access trace, present under HazardMode::Check
     access: Option<KernelTrace>,
     /// Host-side worker threads [`Kernel::run_blocks`] may use. Set by
@@ -161,7 +197,6 @@ impl std::fmt::Debug for Kernel {
 
 impl Kernel {
     pub(crate) fn new(name: &str, cfg: LaunchConfig, props: DeviceProps) -> Self {
-        let cache = LineCache::new(&props);
         Kernel {
             name: name.to_string(),
             cfg,
@@ -174,7 +209,7 @@ impl Kernel {
             atomic_hist: Vec::new(),
             elems_per_sector: 1,
             block_times: Vec::new(),
-            cache,
+            cache: None,
             access: None,
             host_threads: 1,
         }
@@ -400,22 +435,19 @@ impl Kernel {
     /// convert its counters into a serial block cost, and accumulate
     /// launch-wide counters.
     fn merge_block(&mut self, out: BlockOut) {
+        // Byte counts are whole numbers far below 2^53, so these f64
+        // sums are exact however they are grouped.
         let lb = self.props.line_bytes as f64;
         let mut dram_bytes = 0.0f64;
+        let cache = self
+            .cache
+            .get_or_insert_with(|| LineCache::new(&self.props));
         for op in &out.dram_log {
             match *op {
-                DramOp::Line(line) => {
-                    if self.cache.touch(line) {
-                        dram_bytes += lb;
-                    }
-                }
+                DramOp::Line(line) => dram_bytes += cache.touch_span(line, line) as f64 * lb,
                 DramOp::Span { first, last, write } => {
                     let factor = if write { 2.0 } else { 1.0 };
-                    for line in first..=last {
-                        if self.cache.touch(line) {
-                            dram_bytes += lb * factor;
-                        }
-                    }
+                    dram_bytes += cache.touch_span(first, last) as f64 * lb * factor;
                 }
                 DramOp::Flat(bytes) => dram_bytes += bytes,
             }
@@ -479,6 +511,34 @@ fn div_fast(a: usize, d: usize) -> usize {
     }
 }
 
+/// Split the `len` elements from `start` by the `eps`-element sector they
+/// fall in: `f(sector, elements in it)`, in sector order.
+#[inline(always)]
+fn sector_split(start: usize, len: usize, eps: usize, mut f: impl FnMut(usize, u64)) {
+    if len == 0 {
+        return;
+    }
+    let first = div_fast(start, eps);
+    let last = div_fast(start + len - 1, eps);
+    for s in first..=last {
+        let lo = start.max(s * eps);
+        let hi = (start + len).min(s * eps + eps);
+        f(s, (hi - lo) as u64);
+    }
+}
+
+/// Add `n_per_elem` atomic ops per element of the `len` elements from
+/// `start` to their sectors' tallies in `hist` (sectors past its end are
+/// not tracked).
+#[inline(always)]
+fn hist_run(hist: &mut [u64], eps: usize, start: usize, len: usize, n_per_elem: u64) {
+    sector_split(start, len, eps, |s, c| {
+        if let Some(h) = hist.get_mut(s) {
+            *h += c * n_per_elem;
+        }
+    });
+}
+
 /// One DRAM-side event logged by a [`BlockAcc`], replayed through the
 /// shared L2 line cache in block-id order at merge time.
 enum DramOp {
@@ -516,14 +576,16 @@ struct AccParams {
 
 /// Per-worker reusable scratch: a private copy of the atomic-sector
 /// histogram (zeroed once per worker, not per block — merged additively
-/// at the end), the shared-memory hotspot epoch arrays, and the sector
-/// set behind the distinct-sector counts.
+/// at the end), the shared-memory hotspot epoch arrays, the sector set
+/// behind the distinct-sector counts, and the per-row sector pattern of
+/// [`BlockAcc::global_atomic_rows`].
 struct WorkerScratch {
     hist: Vec<u64>,
     shared_epoch: Vec<u32>,
     shared_count: Vec<u64>,
     cur_epoch: u32,
     sectors: SectorSet,
+    pattern: Vec<(usize, u64)>,
 }
 
 impl WorkerScratch {
@@ -534,6 +596,7 @@ impl WorkerScratch {
             shared_count: vec![0u64; p.shared_words],
             cur_epoch: 0,
             sectors: SectorSet::default(),
+            pattern: Vec::new(),
         }
     }
 }
@@ -663,6 +726,15 @@ impl<'w> BlockAcc<'w> {
         self.l2_sectors += self.distinct_sectors(byte_addrs);
     }
 
+    /// `n` warp-wide accesses that each coalesce into as many sectors as
+    /// `byte_addrs` does: exactly what `n` [`Self::l2_access`] calls on
+    /// address sets with the same sector-sharing pattern would add. GM
+    /// spreading uses it for the `w^(d-1)` footprint rows of a lockstep
+    /// x-step on a grid whose rows start on sector boundaries.
+    pub fn l2_access_n(&mut self, byte_addrs: &[usize], n: u64) {
+        self.l2_sectors += n * self.distinct_sectors(byte_addrs);
+    }
+
     /// Distinct 32-byte sectors among up to 32 lane addresses (hardware
     /// coalescing within one warp instruction), counted through the
     /// worker's [`SectorSet`] (no per-call sort).
@@ -775,19 +847,41 @@ impl<'w> BlockAcc<'w> {
     /// batching only removes per-cell call overhead from the simulated
     /// spread hot loop.
     pub fn global_atomic_run(&mut self, start_elem: usize, len: usize, n_per_elem: u64) {
-        if len == 0 {
+        self.atomics += len as u64 * n_per_elem;
+        let eps = self.params.elems_per_sector;
+        hist_run(&mut self.scratch.hist, eps, start_elem, len, n_per_elem);
+    }
+
+    /// `n_per_elem` atomic ops on each cell of every row segment: `segs`
+    /// are `(first element, length)` runs relative to a row's start, and
+    /// `rows` the rows' first elements. Tallies exactly what
+    /// `global_atomic_run(row + first, length, n_per_elem)` for each row
+    /// and segment would; the op total is added once, and the segments'
+    /// per-sector split is computed once and shifted onto every row that
+    /// starts on a sector boundary.
+    pub fn global_atomic_rows(&mut self, rows: &[usize], segs: &[(usize, usize)], n_per_elem: u64) {
+        let per_row: u64 = segs.iter().map(|&(_, len)| len as u64).sum();
+        self.atomics += per_row * n_per_elem * rows.len() as u64;
+        let WorkerScratch { hist, pattern, .. } = &mut *self.scratch;
+        if hist.is_empty() {
             return;
         }
-        self.atomics += len as u64 * n_per_elem;
-        if !self.scratch.hist.is_empty() {
-            let eps = self.params.elems_per_sector;
-            let first = div_fast(start_elem, eps);
-            let last = div_fast(start_elem + len - 1, eps);
-            for s in first..=last {
-                let lo = start_elem.max(s * eps);
-                let hi = (start_elem + len).min(s * eps + eps);
-                if let Some(c) = self.scratch.hist.get_mut(s) {
-                    *c += (hi - lo) as u64 * n_per_elem;
+        let eps = self.params.elems_per_sector;
+        pattern.clear();
+        for &(first, len) in segs {
+            sector_split(first, len, eps, |s, c| pattern.push((s, c * n_per_elem)));
+        }
+        for &row in rows {
+            let row_sector = div_fast(row, eps);
+            if row_sector * eps == row {
+                for &(s, c) in pattern.iter() {
+                    if let Some(h) = hist.get_mut(row_sector + s) {
+                        *h += c;
+                    }
+                }
+            } else {
+                for &(first, len) in segs {
+                    hist_run(hist, eps, row + first, len, n_per_elem);
                 }
             }
         }
@@ -1064,6 +1158,120 @@ mod tests {
         });
         let total: u64 = queries.iter().map(|r| reference(r)).sum();
         assert_eq!(k.l2_sectors, total);
+    }
+
+    #[test]
+    fn first_row_steps_price_every_step_on_sector_aligned_rows() {
+        // A GM spread warp on a grid whose rows start on sector
+        // boundaries: `l2_access_n` over the first row's x-steps, each
+        // counted for all wd2·wd3 rows, must equal sort+dedup counted at
+        // every lockstep step (t1, t2, t3). Random lane sets with partial
+        // warps, shared and wrapped start rows, x-wrap, and n2, n3 below
+        // the width, in f32 and f64 complex cells.
+        let mut rng = 0x5851_f42d_4c95_7f2du64;
+        for case in 0..300usize {
+            let cb = if case.is_multiple_of(2) { 8 } else { 16 };
+            let eps = 32 / cb;
+            let w = 2 + xorshift(&mut rng) % 15;
+            let n1 = eps * (w.div_ceil(eps) + xorshift(&mut rng) % 6);
+            let [n2, n3] = [0, 1].map(|_| 1 + xorshift(&mut rng) % (2 * w));
+            let [wd2, wd3] = [w, if case.is_multiple_of(3) { 1 } else { w }];
+            let lanes = 1 + xorshift(&mut rng) % 32;
+            // start nodes per lane; later lanes often repeat a row
+            let mut starts: Vec<[usize; 3]> = Vec::with_capacity(lanes);
+            for l in 0..lanes {
+                let mut s = [0, 1, 2].map(|_| xorshift(&mut rng) % (2 * n1.max(n2).max(n3)));
+                if l > 0 && xorshift(&mut rng).is_multiple_of(2) {
+                    let [_, s2, s3] = starts[xorshift(&mut rng) % l];
+                    s[1] = s2 + n2 * (xorshift(&mut rng) % 2);
+                    s[2] = s3;
+                }
+                starts.push(s);
+            }
+            let addr = |s: &[usize; 3], t: [usize; 3]| {
+                let [x, y, z] = [(s[0] + t[0]) % n1, (s[1] + t[1]) % n2, (s[2] + t[2]) % n3];
+                (x + n1 * (y + n2 * z)) * cb
+            };
+            let mut reference = 0;
+            for t3 in 0..wd3 {
+                for t2 in 0..wd2 {
+                    for t1 in 0..w {
+                        let addrs: Vec<usize> =
+                            starts.iter().map(|s| addr(s, [t1, t2, t3])).collect();
+                        reference += dedup_sectors(32, &addrs);
+                    }
+                }
+            }
+            let mut k = mk(LaunchConfig::new(Precision::F32, 128));
+            one_block(&mut k, |b| {
+                for t1 in 0..w {
+                    let addrs: Vec<usize> = starts.iter().map(|s| addr(s, [t1, 0, 0])).collect();
+                    b.l2_access_n(&addrs, (wd2 * wd3) as u64);
+                }
+            });
+            assert_eq!(
+                k.l2_sectors, reference,
+                "case {case}: cb {cb}, w {w}, n ({n1}, {n2}, {n3}), {lanes} lanes"
+            );
+        }
+    }
+
+    #[test]
+    fn atomic_rows_match_per_row_runs() {
+        // `global_atomic_rows` must tally what one `global_atomic_run`
+        // per row and segment tallies: rows on and off sector
+        // boundaries, one or two segments (a wrapped row), empty
+        // segments, and sectors past the region's end.
+        let mut rng = 0x1405_7b7e_f767_814fu64;
+        for case in 0..200 {
+            let elem_bytes = [4, 8, 16, 32][case % 4];
+            let n1 = 1 + xorshift(&mut rng) % 40;
+            let w = 1 + xorshift(&mut rng) % n1;
+            let start = xorshift(&mut rng) % n1;
+            let first = w.min(n1 - start);
+            let segs = [(start, first), (0, w - first)];
+            let rows: Vec<usize> = (0..xorshift(&mut rng) % 20)
+                .map(|_| n1 * (xorshift(&mut rng) % 30))
+                .collect();
+            let region = n1 * 25;
+            let mut ka = mk(LaunchConfig::new(Precision::F64, 128));
+            ka.atomic_region(region, elem_bytes);
+            one_block(&mut ka, |b| {
+                for &row in &rows {
+                    for &(s, len) in &segs {
+                        b.global_atomic_run(row + s, len, 2);
+                    }
+                }
+            });
+            let mut kb = mk(LaunchConfig::new(Precision::F64, 128));
+            kb.atomic_region(region, elem_bytes);
+            one_block(&mut kb, |b| b.global_atomic_rows(&rows, &segs, 2));
+            assert_eq!(ka.atomics, kb.atomics, "case {case}");
+            assert_eq!(ka.atomic_hist, kb.atomic_hist, "case {case}");
+        }
+    }
+
+    #[test]
+    fn fastmod_matches_remainder() {
+        let mut rng = 0x6c07_8965_7a3c_1f4bu64;
+        let divisors = [1, 2, 3, 7, 128, 49_152, 1 << 40, u64::MAX - 1, u64::MAX];
+        for &d in &divisors {
+            let magic = fastmod_magic(d);
+            let edges = [0, 1, d - 1, d, d.wrapping_add(1), u64::MAX - 1, u64::MAX];
+            let randoms = (0..2000).map(|_| xorshift(&mut rng) as u64);
+            for a in edges.into_iter().chain(randoms) {
+                assert_eq!(fastmod(a, magic, d), a % d, "{a} mod {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn line_cache_is_built_by_the_first_merge() {
+        let mut k = mk(LaunchConfig::new(Precision::F32, 128));
+        assert!(k.cache.is_none());
+        one_block(&mut k, |b| b.dram_span(0, 256, false));
+        assert!(k.cache.is_some());
+        assert_eq!(k.dram_bytes, 256.0);
     }
 
     #[test]
